@@ -51,6 +51,7 @@ from .pulse_sequence import (
     SequenceStep,
     compare_sequence_vs_single,
     run_sequence,
+    split_flip,
 )
 
 __all__ = [
@@ -91,5 +92,6 @@ __all__ = [
     "pi_pulse_error",
     "resolve_pulse",
     "run_sequence",
+    "split_flip",
     "__version__",
 ]

@@ -25,9 +25,10 @@ from .fock_field import (
     make_coherent,
     make_number_state,
 )
-from .jc_channel import PulseSpec, QubitState, build_kraus
-from .error_metrics import PULSE_MODES, error_report, landscape_asymptote, resolve_pulse
-from .pulse_sequence import SequenceStep, compare_sequence_vs_single, run_sequence
+from .jc_channel import PulseSpec, build_kraus
+from .error_metrics import (PULSE_MODES, ControlSpec, error_report, landscape_asymptote,
+                            resolve_pulse)
+from .pulse_sequence import split_flip
 
 SWEEP_COLUMNS = ["N", "P_exact", "P_asymptotic", "gea_banacloche",
                  "ozawa_bound", "delta", "vartheta_used"]
@@ -93,8 +94,8 @@ def _json_value_tree(value):
 
 
 def _positive(value: float, name: str) -> float:
-    if not value > 0:
-        raise UsageError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise UsageError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -113,13 +114,15 @@ def cmd_sweep(args) -> None:
     else:
         grid = np.linspace(n_min, n_max, args.points)
 
+    control = ControlSpec(args.theta0, args.theta)
     rows = []
-    for n_mean in grid:
-        report = error_report(args.theta0, args.theta, float(n_mean),
-                              mode=args.vartheta_mode, vartheta=args.vartheta,
-                              tail_tol=args.tail_tol)
+    for n_mean in map(float, grid):
+        pulse = resolve_pulse(args.vartheta_mode, n_mean, base=args.theta,
+                              start_angle=args.theta0, vartheta=args.vartheta)
+        report = error_report(control, build_kraus(
+            make_coherent(n_mean, tail_tol=args.tail_tol), pulse))
         rows.append({
-            "N": float(n_mean),
+            "N": n_mean,
             "P_exact": report.exact,
             "P_asymptotic": report.asymptotic,
             "gea_banacloche": report.gea_banacloche,
@@ -136,14 +139,15 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_table2(args) -> None:
-    n_mean = args.n
+    n_mean = _positive(args.n, "--n")
     if n_mean < 100:
         raise UsageError(f"--n must be >= 100 for the coefficient table, got {n_mean}")
+    field = make_coherent(n_mean, tail_tol=args.tail_tol)
     rows = []
     for theta in (math.pi / 4, math.pi / 2):
+        kraus = build_kraus(field, resolve_pulse("quarter-pi", n_mean, base=theta))
         for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-            report = error_report(theta0, theta, n_mean, mode="quarter-pi",
-                                  tail_tol=args.tail_tol)
+            report = error_report(ControlSpec(theta0, theta), kraus)
             coeff = n_mean * landscape_asymptote(theta0 + theta / 2, theta, n_mean)
             scaled = n_mean * report.exact
             rows.append({
@@ -160,16 +164,10 @@ def cmd_table2(args) -> None:
 
 def cmd_sequence(args) -> None:
     n_mean = _positive(args.n, "--n")
-    theta0 = START_ANGLES[args.start]
-    quarter = math.pi / 4
-    steps = [SequenceStep(quarter, n_mean, PulseSpec(mode=args.mode)),
-             SequenceStep(quarter, n_mean, PulseSpec(mode=args.mode))]
-    report = run_sequence(QubitState.pure(theta0), steps, theta0=theta0,
-                          tail_tol=args.tail_tol)
-    comparison = compare_sequence_vs_single(math.pi / 2, theta0, n_mean,
-                                            mode=args.mode, tail_tol=args.tail_tol)
+    report, comparison = split_flip(START_ANGLES[args.start], n_mean,
+                                    mode=args.mode, tail_tol=args.tail_tol)
     rows = []
-    for i in range(len(steps)):
+    for i in range(len(report.per_step_error)):
         rows.append({
             "step": i + 1,
             "target_angle": report.target_angles[i] / math.pi,
@@ -192,29 +190,25 @@ def cmd_landscape(args) -> None:
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {args.grid}")
 
+    kraus = build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol),
+                        resolve_pulse("quarter-pi", n_mean, base=args.theta))
     rows = []
-    for midpoint in np.linspace(0.0, math.pi / 2, args.grid):
-        theta0 = float(midpoint) - args.theta / 2
-        report = error_report(theta0, args.theta, n_mean, mode="quarter-pi",
-                              tail_tol=args.tail_tol)
+    for midpoint in map(float, np.linspace(0.0, math.pi / 2, args.grid)):
+        report = error_report(ControlSpec(midpoint - args.theta / 2, args.theta), kraus)
         rows.append({
-            "Phi": float(midpoint) / math.pi,
+            "Phi": midpoint / math.pi,
             "N_times_P_exact": n_mean * report.exact,
-            "N_times_asymptote": n_mean * landscape_asymptote(float(midpoint), args.theta, n_mean),
+            "N_times_asymptote": n_mean * landscape_asymptote(midpoint, args.theta, n_mean),
         })
     exact = [row["N_times_P_exact"] for row in rows]
     argmax_phi = rows[exact.index(max(exact))]["Phi"]
     argmin_phi = rows[exact.index(min(exact))]["Phi"]
     summary = {"argmax_phi": argmax_phi, "argmin_phi": argmin_phi}
-    if args.format == "json":
-        _emit(args, ["Phi", "N_times_P_exact", "N_times_asymptote"], rows,
-              {"theta": args.theta / math.pi, "N": n_mean, "grid": args.grid,
-               "tail_tol": args.tail_tol},
-              extra={"summary": summary})
-    else:
-        _emit(args, ["Phi", "N_times_P_exact", "N_times_asymptote"], rows,
-              {"theta": args.theta / math.pi, "N": n_mean, "grid": args.grid,
-               "tail_tol": args.tail_tol})
+    _emit(args, ["Phi", "N_times_P_exact", "N_times_asymptote"], rows,
+          {"theta": args.theta / math.pi, "N": n_mean, "grid": args.grid,
+           "tail_tol": args.tail_tol},
+          extra={"summary": summary} if args.format == "json" else None)
+    if args.format == "csv":
         # Keep the data stream parseable: the summary goes to stderr.
         print(f"# argmax_phi={_fmt(argmax_phi)} argmin_phi={_fmt(argmin_phi)} "
               "(units of pi)", file=sys.stderr)
@@ -284,7 +278,10 @@ def cmd_kraus_dump(args) -> None:
 
 
 def _pi_units(text: str) -> float:
-    return float(text) * math.pi
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text}")
+    return value * math.pi
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import PulseSpec, QubitState, apply_channel, build_kraus
+from .fock_field import FieldState, make_coherent  # noqa: F401  (perfbench looks it up here)
+from .jc_channel import KrausSet, PulseSpec, QubitState, apply_channel, build_kraus
 
 QUARTER_PI = math.pi / 4
 
@@ -138,22 +138,19 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
     return PulseSpec.from_vartheta(value, n_mean, mode=mode)
 
 
-def _orthogonal_target(angle: float) -> np.ndarray:
-    """R(angle)|1> = (cos angle, -sin angle)^T, orthogonal to R(angle)|0>."""
-    return np.array([math.cos(angle), -math.sin(angle)])
+def target_error(rho: QubitState, target_angle: float) -> float:
+    """Population of R(target_angle)|1> = (cos, -sin)^T in ``rho``, clipped to [0, 1].
+
+    R(target_angle)|1> is orthogonal to the target R(target_angle)|0>, so
+    this is the error rate P = 1 - F^2 of reaching that target.
+    """
+    perp = np.array([math.cos(target_angle), -math.sin(target_angle)])
+    return min(max(float(np.real(perp @ rho.rho @ perp)), 0.0), 1.0)
 
 
 def error_rate_exact(control: ControlSpec, field: FieldState, pulse: PulseSpec) -> float:
-    """Exact error rate of one control, via the channel.
-
-    Applies the Kraus map to R(theta0)|0><0|R^dag(theta0) and projects the
-    output onto the orthogonal target R(theta0 + theta)|1>.
-    """
-    rho0 = QubitState.pure(control.theta0)
-    evolved = apply_channel(rho0, build_kraus(field, pulse))
-    perp = _orthogonal_target(control.target_angle)
-    p = float(np.real(perp @ evolved.rho @ perp))
-    return min(max(p, 0.0), 1.0)
+    """Exact error rate of one control against ``field``; see error_report."""
+    return error_report(control, build_kraus(field, pulse)).exact
 
 
 def _require_coherent(field: FieldState, what: str) -> None:
@@ -267,26 +264,28 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
     return amp * amp / (4.0 * n_mean)
 
 
-def error_report(theta0: float, theta: float, n_mean: float,
-                 mode: str = "quarter-pi", vartheta: float | None = None,
-                 kappa: float | None = None,
-                 tail_tol: float = DEFAULT_TAIL_TOL) -> ErrorReport:
+def error_report(control: ControlSpec, kraus: KrausSet) -> ErrorReport:
     """Evaluate one control exactly and attach all 1/N reference numbers.
+
+    Applies the Kraus map to R(theta0)|0><0|R^dag(theta0) and projects the
+    output onto R(theta0 + theta)|1> (target_error).  ``n_mean`` and
+    ``vartheta_used`` come from ``kraus.field`` and ``kraus.pulse``, so one
+    Kraus set serves every control evaluated against the same pulse.
 
     ``delta`` is the deviation of the excited-level population from its
     target value sin^2(theta0 + theta); for the two pole starts of a half
-    rotation it coincides with the closed-form diagonal_deviation.
+    rotation it coincides with the closed-form diagonal_deviation.  The 1/N
+    references of a zero-photon field are infinite.
     """
-    control = ControlSpec(theta0, theta)
-    field = make_coherent(n_mean, phase=math.pi / 2, tail_tol=tail_tol)
-    pulse = resolve_pulse(mode, n_mean, base=theta, start_angle=theta0,
-                          vartheta=vartheta, kappa=kappa)
-    vartheta_used = pulse.vartheta_for(field)
+    theta0, theta = control.theta0, control.theta
+    n_mean = kraus.field.mean_photon_number
+    vartheta_used = kraus.pulse.vartheta_for(kraus.field)
 
-    evolved = apply_channel(QubitState.pure(theta0), build_kraus(field, pulse))
-    perp = _orthogonal_target(control.target_angle)
-    exact = min(max(float(np.real(perp @ evolved.rho @ perp)), 0.0), 1.0)
+    evolved = apply_channel(QubitState.pure(theta0), kraus)
+    exact = target_error(evolved, control.target_angle)
     delta = abs(evolved.excited_population - math.sin(control.target_angle) ** 2)
+    if n_mean == 0:
+        return ErrorReport(exact, math.inf, math.inf, ozawa_bound(0.0), delta, 0.0, vartheta_used)
 
     if math.isclose(theta, QUARTER_PI, abs_tol=1e-12) and (
             math.isclose(theta0, 0.0, abs_tol=1e-12)
@@ -302,6 +301,6 @@ def error_report(theta0: float, theta: float, n_mean: float,
         gea_banacloche=gea_banacloche(n_mean),
         ozawa_bound=ozawa_bound(n_mean),
         delta=delta,
-        n_mean=float(n_mean),
+        n_mean=n_mean,
         vartheta_used=vartheta_used,
     )

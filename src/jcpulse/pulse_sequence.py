@@ -9,7 +9,9 @@ Alongside the exact cumulative error the report carries two cheaper
 estimates: a two-branch statistical-mixture composition of per-step
 pure-state errors (exact up to the O(1/N^2) coherence it discards, valid
 when each step's population bias is suppressed, hence the bias-free
-default), and the plain sum of the per-step leading 1/N terms.
+default), and the plain sum of the per-step leading 1/N terms.  Each step
+builds one field and one Kraus set, which the running state and both
+mixture branches share.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .fock_field import DEFAULT_TAIL_TOL, make_coherent
 from .jc_channel import PulseSpec, QubitState, apply_channel, build_kraus
 from .error_metrics import (
     ControlSpec,
     error_rate_exact,
+    error_report,
     landscape_asymptote,
     resolve_pulse,
+    target_error,
 )
 
 
@@ -99,19 +101,17 @@ def run_sequence(rho0: QubitState, steps: Sequence[SequenceStep],
     for step in steps:
         pulse = _resolved_step_pulse(step, angle)
         field = make_coherent(step.field_N, phase=math.pi / 2, tail_tol=tail_tol)
-        rho = apply_channel(rho, build_kraus(field, pulse))
+        kraus = build_kraus(field, pulse)
+        rho = apply_channel(rho, kraus)
         target = angle + step.theta
-
-        perp = np.array([math.cos(target), -math.sin(target)])
-        err = float(np.real(perp @ rho.rho @ perp))
-        per_step.append(min(max(err, 0.0), 1.0))
+        per_step.append(target_error(rho, target))
 
         # Two-branch mixture: the faithful branch sits on the previous
         # target, the leaked branch on its orthogonal complement; the
         # leaked branch reaches the new target exactly when it fails to
         # follow its own rotation.
-        p_follow = error_rate_exact(ControlSpec(angle, step.theta), field, pulse)
-        p_leaked = error_rate_exact(ControlSpec(angle + math.pi / 2, step.theta), field, pulse)
+        p_follow = error_report(ControlSpec(angle, step.theta), kraus).exact
+        p_leaked = error_report(ControlSpec(angle + math.pi / 2, step.theta), kraus).exact
         mixture = p_follow * (1.0 - mixture) + (1.0 - p_leaked) * mixture
 
         asymptote += landscape_asymptote(angle + 0.5 * step.theta, step.theta, step.field_N)
@@ -132,22 +132,12 @@ def run_sequence(rho0: QubitState, steps: Sequence[SequenceStep],
     )
 
 
-def compare_sequence_vs_single(theta_total: float, theta0: float, n_mean: float,
-                               mode: str = "bias-free",
-                               tail_tol: float = DEFAULT_TAIL_TOL) -> SequenceComparison:
-    """Two half rotations with budget N each vs one full flip with N or 2N.
-
-    Only the split of a full flip (theta_total = pi/2) into two pi/4 steps
-    is implemented.
-    """
-    if not math.isclose(theta_total, math.pi / 2, abs_tol=1e-12):
-        raise ValueError("only theta_total = pi/2 (a full flip) is supported")
-
+def split_flip(theta0: float, n_mean: float, mode: str = "bias-free",
+               tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[SequenceReport, SequenceComparison]:
+    """Run two half rotations with budget N each once; compare one full flip with N or 2N."""
     quarter = math.pi / 4
-    steps = [SequenceStep(quarter, n_mean, PulseSpec(mode=mode)),
-             SequenceStep(quarter, n_mean, PulseSpec(mode=mode))]
-    report = run_sequence(QubitState.pure(theta0), steps, theta0=theta0,
-                          tail_tol=tail_tol)
+    steps = [SequenceStep(quarter, n_mean, PulseSpec(mode=mode))] * 2
+    report = run_sequence(QubitState.pure(theta0), steps, theta0=theta0, tail_tol=tail_tol)
 
     control = ControlSpec(theta0, math.pi / 2)
     singles = []
@@ -155,6 +145,17 @@ def compare_sequence_vs_single(theta_total: float, theta0: float, n_mean: float,
         field = make_coherent(budget, phase=math.pi / 2, tail_tol=tail_tol)
         pulse = resolve_pulse("quarter-pi", budget, base=math.pi / 2, start_angle=theta0)
         singles.append(error_rate_exact(control, field, pulse))
+    return report, SequenceComparison(report.cumulative_exact, *singles)
 
-    return SequenceComparison(two_step=report.cumulative_exact,
-                              single_N=singles[0], single_2N=singles[1])
+
+def compare_sequence_vs_single(theta_total: float, theta0: float, n_mean: float,
+                               mode: str = "bias-free",
+                               tail_tol: float = DEFAULT_TAIL_TOL) -> SequenceComparison:
+    """Two half rotations with budget N each vs one full flip with N or 2N.
+
+    Only the split of a full flip (theta_total = pi/2) into two pi/4 steps
+    is implemented; see split_flip.
+    """
+    if not math.isclose(theta_total, math.pi / 2, abs_tol=1e-12):
+        raise ValueError("only theta_total = pi/2 (a full flip) is supported")
+    return split_flip(theta0, n_mean, mode=mode, tail_tol=tail_tol)[1]

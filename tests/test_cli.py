@@ -5,9 +5,17 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from jcpulse.cli import main
+from jcpulse import (
+    ControlSpec,
+    compare_sequence_vs_single,
+    error_rate_exact,
+    make_coherent,
+    resolve_pulse,
+)
+from jcpulse.cli import START_ANGLES, main
 
 PI = math.pi
 
@@ -21,6 +29,17 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+def as_printed(value):
+    """A float as the JSON output carries it: 12 significant digits."""
+    return float(f"{value:.12g}")
+
+
+def fresh_scaled_error(theta0, theta, n_mean):
+    """N * error_rate_exact with a freshly built field and the nominal pulse area."""
+    pulse = resolve_pulse("quarter-pi", n_mean, base=theta)
+    return n_mean * error_rate_exact(ControlSpec(theta0, theta), make_coherent(n_mean), pulse)
 
 
 class TestSweep:
@@ -94,6 +113,11 @@ class TestSweep:
         ("sweep", "--n-min", "100", "--n-max", "10"),
         ("sweep", "--points", "1"),
         ("sweep", "--vartheta-mode", "explicit"),
+        ("sweep", "--theta0", "nan"),
+        ("sweep", "--n-max", "inf"),
+        ("table2", "--n", "inf"),
+        ("landscape", "--n", "inf"),
+        ("sequence", "--n", "inf"),
     ])
     def test_invalid_config_exits_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -120,6 +144,14 @@ class TestTable2:
         rows = parse_csv(out)
         assert all(float(r["relative_deviation"]) <= 0.3 for r in rows)
 
+    def test_rows_match_fresh_field_evaluation(self, capsys):
+        code, out, _ = run_cli(capsys, "table2", "--n", "2000", "--format", "json")
+        assert code == 0
+        expected = [as_printed(fresh_scaled_error(theta0, theta, 2000.0))
+                    for theta in (PI / 4, PI / 2)
+                    for theta0 in (0.0, PI / 4, PI / 2, 3 * PI / 4)]
+        assert [r["N_times_P_exact"] for r in json.loads(out)["rows"]] == expected
+
     def test_rejects_small_n(self, capsys):
         code, out, err = run_cli(capsys, "table2", "--n", "50")
         assert code == 2 and out == "" and "error" in err
@@ -142,6 +174,20 @@ class TestSequenceCommand:
         first = float(rows[0]["P_exact"])
         increment = float(rows[1]["P_exact"]) - first
         assert increment == pytest.approx(first, rel=0.05)
+
+    @pytest.mark.parametrize("start,mode", [
+        ("ground", "bias-free"), ("plus", "quarter-pi"), ("excited", "optimal-fidelity"),
+    ])
+    def test_json_rows_match_comparison(self, capsys, start, mode):
+        code, out, _ = run_cli(capsys, "sequence", "--start", start, "--n", "2000",
+                               "--mode", mode, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        comparison = compare_sequence_vs_single(PI / 2, START_ANGLES[start], 2000.0, mode=mode)
+        assert rows[1]["P_exact"] == as_printed(comparison.two_step)
+        for row in rows:
+            assert row["single_N"] == as_printed(comparison.single_N)
+            assert row["single_2N"] == as_printed(comparison.single_2N)
 
     def test_rejects_bad_n(self, capsys):
         code, out, err = run_cli(capsys, "sequence", "--n", "-4")
@@ -167,6 +213,15 @@ class TestLandscapeCommand:
         assert code == 0
         asym = [float(r["N_times_asymptote"]) for r in parse_csv(out)]
         assert all(v == pytest.approx(PI ** 2 / 4, rel=1e-12) for v in asym)
+
+    def test_rows_match_fresh_field_evaluation(self, capsys):
+        code, out, _ = run_cli(capsys, "landscape", "--theta", "0.75", "--n", "2000",
+                               "--grid", "5", "--format", "json")
+        assert code == 0
+        theta = 0.75 * PI
+        expected = [as_printed(fresh_scaled_error(float(mid) - theta / 2, theta, 2000.0))
+                    for mid in np.linspace(0.0, PI / 2, 5)]
+        assert [r["N_times_P_exact"] for r in json.loads(out)["rows"]] == expected
 
     def test_minimal_grid(self, capsys):
         code, out, _ = run_cli(capsys, "landscape", "--grid", "2")
@@ -226,6 +281,7 @@ class TestKrausDump:
         ("kraus-dump", "--n", "10", "--number", "3", "--kappa", "0.1"),
         ("kraus-dump", "--n", "10"),
         ("kraus-dump", "--number", "2", "--vartheta", "0.25"),
+        ("kraus-dump", "--n", "inf", "--kappa", "0.1"),
     ])
     def test_invalid_combinations(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

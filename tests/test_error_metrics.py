@@ -8,6 +8,7 @@ from jcpulse import (
     ControlSpec,
     PulseSpec,
     asymptotic_p,
+    build_kraus,
     diagonal_deviation,
     error_rate_exact,
     error_report,
@@ -45,6 +46,12 @@ def direct_error_sum(theta0, theta, n_mean, kappa):
     return float(np.sum(pmf * amp ** 2))
 
 
+def nominal_report(theta0, theta, n_mean):
+    """error_report of one control with the nominal pulse area, fresh field."""
+    kraus = build_kraus(make_coherent(n_mean), resolve_pulse("quarter-pi", n_mean, base=theta))
+    return error_report(ControlSpec(theta0, theta), kraus)
+
+
 class TestErrorRateExact:
     @pytest.mark.parametrize("theta0,theta", [
         (0.0, QUARTER_PI), (PI / 2, QUARTER_PI), (0.3, 0.9), (QUARTER_PI, PI / 2),
@@ -70,6 +77,15 @@ class TestErrorRateExact:
         pulse = PulseSpec.from_vartheta(QUARTER_PI, n_mean)
         value = error_rate_exact(ControlSpec(PI / 2, QUARTER_PI), field, pulse)
         assert n_mean * value == pytest.approx((PI + 2) ** 2 / 64, rel=0.02)
+
+    def test_vacuum_field(self):
+        # No photons: the ground state stays put and the excited state
+        # decays with probability sin^2(kappa).
+        vacuum, pulse = make_number_state(0), PulseSpec.from_kappa(0.7)
+        assert error_rate_exact(ControlSpec(0.0, 0.3), vacuum, pulse) == pytest.approx(
+            math.sin(0.3) ** 2, abs=1e-15)
+        assert error_rate_exact(ControlSpec(PI / 2, 0.0), vacuum, pulse) == pytest.approx(
+            math.sin(0.7) ** 2, abs=1e-15)
 
     def test_identity_control_has_zero_error(self):
         field = make_coherent(100.0)
@@ -223,7 +239,7 @@ class TestDiagonalDeviation:
 
     def test_matches_population_deviation_of_channel(self):
         # Same number as |excited population - 1/2| after the half rotation.
-        report = error_report(0.0, QUARTER_PI, 500.0)
+        report = nominal_report(0.0, QUARTER_PI, 500.0)
         field = make_coherent(500.0)
         pulse = PulseSpec.from_vartheta(QUARTER_PI, 500.0)
         assert report.delta == pytest.approx(diagonal_deviation(field, pulse, -1), abs=1e-13)
@@ -322,18 +338,18 @@ class TestPulseResolution:
 
 class TestErrorReport:
     def test_pole_reports_use_pulse_area_asymptote(self):
-        report = error_report(0.0, QUARTER_PI, 1e3)
+        report = nominal_report(0.0, QUARTER_PI, 1e3)
         assert report.asymptotic == pytest.approx(asymptotic_p(QUARTER_PI, 1e3, -1), rel=1e-12)
-        report = error_report(PI / 2, QUARTER_PI, 1e3)
+        report = nominal_report(PI / 2, QUARTER_PI, 1e3)
         assert report.asymptotic == pytest.approx(asymptotic_p(QUARTER_PI, 1e3, 1), rel=1e-12)
 
     def test_generic_reports_use_landscape(self):
-        report = error_report(0.3, 0.9, 1e3)
+        report = nominal_report(0.3, 0.9, 1e3)
         assert report.asymptotic == pytest.approx(
             landscape_asymptote(0.3 + 0.45, 0.9, 1e3), rel=1e-12)
 
     def test_report_fields(self):
-        report = error_report(0.0, QUARTER_PI, 1e3)
+        report = nominal_report(0.0, QUARTER_PI, 1e3)
         assert 0.0 <= report.exact <= 1.0
         assert report.delta >= 0.0
         assert report.n_mean == 1e3

@@ -3,11 +3,16 @@ import math
 import pytest
 
 from jcpulse import (
+    ControlSpec,
     PulseSpec,
     QubitState,
     SequenceStep,
     compare_sequence_vs_single,
+    error_rate_exact,
+    make_coherent,
+    resolve_pulse,
     run_sequence,
+    split_flip,
 )
 
 PI = math.pi
@@ -78,6 +83,26 @@ class TestMixtureComposition:
             gaps.append(abs(report.cumulative_exact - report.cumulative_mixture) * n_mean)
         assert gaps[1] < gaps[0] / 3
 
+    @pytest.mark.parametrize("start,mode", [
+        (0.0, "bias-free"), (QUARTER_PI, "optimal-fidelity"), (3 * PI / 4, "quarter-pi"),
+    ])
+    def test_mixture_matches_fresh_field_recomputation(self, start, mode):
+        # The run evaluates both branches on its one Kraus set per step; a
+        # freshly built field per control must give the same bits.
+        n_mean = 1e3
+        report = two_step(start, n_mean, mode)
+        angle, mixture, expected = start, 0.0, []
+        for _ in range(2):
+            pulse = resolve_pulse(mode, n_mean, base=QUARTER_PI, start_angle=angle)
+            p_follow = error_rate_exact(ControlSpec(angle, QUARTER_PI),
+                                        make_coherent(n_mean), pulse)
+            p_leaked = error_rate_exact(ControlSpec(angle + PI / 2, QUARTER_PI),
+                                        make_coherent(n_mean), pulse)
+            mixture = p_follow * (1.0 - mixture) + (1.0 - p_leaked) * mixture
+            expected.append(mixture)
+            angle += QUARTER_PI
+        assert report.per_step_mixture == tuple(expected)
+
     def test_first_step_mixture_equals_exact_pure_error(self):
         report = two_step(0.0, 1e3)
         assert report.per_step_mixture[0] == pytest.approx(
@@ -114,6 +139,12 @@ class TestSingleVsSplit:
     def test_large_budget_consistency(self):
         result = compare_sequence_vs_single(PI / 2, 0.0, 1e5)
         assert max(result) <= 1e-4
+
+    def test_split_flip_runs_the_two_step_sequence(self):
+        report, comparison = split_flip(QUARTER_PI, 1e3, mode="bias-free")
+        assert report.per_step_error == two_step(QUARTER_PI, 1e3).per_step_error
+        assert comparison == compare_sequence_vs_single(PI / 2, QUARTER_PI, 1e3)
+        assert comparison.two_step == report.cumulative_exact
 
     def test_only_full_flip_supported(self):
         with pytest.raises(ValueError):

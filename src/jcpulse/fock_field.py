@@ -2,9 +2,11 @@
 
 Coherent states carry Poisson number statistics |C_n|^2 = e^-N N^n / n!
 with amplitude phases arg(C_n) = n*phi.  Magnitudes are computed and kept
-in log space (via log-gamma), so mean photon numbers up to ~1e6 produce
-finite amplitudes; the retained window around N is grown in units of
-sqrt(N) until the discarded Poisson tail mass drops below ``tail_tol``.
+in log space, so large mean photon numbers produce finite amplitudes: one
+log-gamma anchors the window's low edge and every later level adds the
+log of the term ratio |C_n|^2 / |C_{n-1}|^2 = N/n.  The retained window
+around N is grown in units of sqrt(N) until the discarded Poisson tail
+mass drops below ``tail_tol``.
 
 Number states |m> bypass the truncation logic entirely: their window is
 the single occupied level.
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,7 +119,10 @@ class MomentVector:
 
 
 def _poisson_log_pmf(n: np.ndarray, n_mean: float) -> np.ndarray:
-    return n * math.log(n_mean) - n_mean - gammaln(n + 1.0)
+    """log(e^-N N^n / n!) on the contiguous window n[0], n[0]+1, ... from
+    one ``lgamma`` at n[0] and the term ratios N/n."""
+    head = n[0] * math.log(n_mean) - n_mean - math.lgamma(n[0] + 1.0)
+    return head + np.concatenate(([0.0], np.cumsum(np.log(n_mean / n[1:]))))
 
 
 def _tail_bounds(lo: int, hi: int, n_mean: float,
@@ -128,8 +132,7 @@ def _tail_bounds(lo: int, hi: int, n_mean: float,
     The term ratios pmf(n+1)/pmf(n) = N/(n+1) fall below one past the
     mode, so each discarded side is dominated by a geometric series
     anchored at the window edge.  Unlike 1 - sum(pmf), these bounds stay
-    meaningful when the absolute log-pmf carries O(N log N * eps)
-    rounding noise.
+    meaningful when the retained mass rounds to one.
     """
     lower = 0.0
     if lo > 0:
@@ -148,15 +151,17 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
     until the (bounded) discarded tail mass is at most ``tail_tol``,
     subject to the hard cap n_max <= N + 50*sqrt(N) + 100.  The retained
     magnitudes are renormalized by a single scalar so that
-    sum |C_n|^2 = 1 - tail_mass holds exactly; this removes the
-    O(N log N * eps) bias that plain log-gamma evaluation leaves in the
-    total mass for N >~ 1e4.
+    sum |C_n|^2 = 1 - tail_mass holds exactly; this removes the constant
+    offset that rounding of the log-gamma edge anchor, of order
+    eps * N log N, leaves in every log-magnitude.
 
-    Raises ValueError for non-positive ``n_mean``, a ``tail_tol`` outside
-    (0, 1), or a tail tolerance unattainable within the cap.
+    Raises ValueError for a non-positive or non-finite ``n_mean``, a
+    ``tail_tol`` outside (0, 1), or a tail tolerance unattainable within
+    the cap.
     """
-    if n_mean <= 0:
-        raise ValueError(f"mean photon number must be positive, got {n_mean}")
+    if not 0 < n_mean < math.inf:
+        raise ValueError(
+            f"mean photon number must be positive and finite, got {n_mean}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
@@ -211,20 +216,26 @@ def make_number_state(m: int) -> FieldState:
 
 
 def central_moments_direct(field: FieldState, k_max: int) -> MomentVector:
-    """Moments mu_k = sum_n |C_n|^2 ((n-N)/N)^k over the retained window."""
+    """Moments mu_k = sum_n |C_n|^2 ((n-N)/N)^k over the retained window.
+
+    Raises ValueError if some mu_k is not a finite float (at tiny N).
+    """
     if k_max < 0:
         raise ValueError(f"moment order must be non-negative, got {k_max}")
     if not field.is_coherent:
         raise ValueError("direct central moments are defined for coherent states")
     n_mean = field.mean_photon_number
-    x = (field.photon_numbers() - n_mean) / n_mean
-    p = field.probabilities()
     values = np.empty(k_max + 1)
-    xk = np.ones_like(x)
-    for k in range(k_max + 1):
-        values[k] = float(np.dot(p, xk))
-        xk = xk * x
-    return MomentVector(values=values, mean_photon_number=n_mean)
+    # At tiny N the powers of (n-N)/N overflow; _finite_moments reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (field.photon_numbers() - n_mean) / n_mean
+        p = field.probabilities()
+        xk = np.ones_like(x)
+        for k in range(k_max + 1):
+            values[k] = float(np.dot(p, xk))
+            xk = xk * x
+    return MomentVector(values=_finite_moments(values, n_mean),
+                        mean_photon_number=n_mean)
 
 
 def central_moments_recursive(n_mean: float, k_max: int) -> MomentVector:
@@ -246,6 +257,8 @@ def central_moments_recursive(n_mean: float, k_max: int) -> MomentVector:
     mu_k <= 1/N does not hold on the same domain: it fails at N = 1
     (mu_4 = 4) and holds for all k <= 6 only from N ~ 5 on (N >= 4.53, set
     by mu_6).
+
+    Raises ValueError if some mu_k is not a finite float (at tiny N).
     """
     if k_max < 0:
         raise ValueError(f"moment order must be non-negative, got {k_max}")
@@ -253,8 +266,20 @@ def central_moments_recursive(n_mean: float, k_max: int) -> MomentVector:
         raise ValueError(f"mean photon number must be positive, got {n_mean}")
     mu = [1.0, 0.0]
     for k in range(2, k_max + 1):
-        mu.append(math.fsum(
-            math.comb(k - 1, i) * mu[k - 1 - i] / n_mean ** i
-            for i in range(1, k)))
-    return MomentVector(values=np.array(mu[:k_max + 1]),
+        try:
+            mu.append(math.fsum(
+                math.comb(k - 1, i) * mu[k - 1 - i] / n_mean ** i
+                for i in range(1, k)))
+        except ArithmeticError:  # N^i underflows to zero at tiny N
+            mu.append(math.inf)
+    return MomentVector(values=_finite_moments(np.array(mu[:k_max + 1]), n_mean),
                         mean_photon_number=float(n_mean))
+
+
+def _finite_moments(values: np.ndarray, n_mean: float) -> np.ndarray:
+    """Return ``values``; raise ValueError naming N and k if some mu_k is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"central moment mu_{bad[0]} is not a finite float "
+                         f"at N={n_mean!r}")
+    return values

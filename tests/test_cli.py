@@ -250,9 +250,18 @@ class TestMomentsCommand:
                    for r in rows)
         assert all(float(r["bound_1_over_N"]) == pytest.approx(0.1) for r in rows)
 
-    def test_rejects_negative_order(self, capsys):
-        code, out, err = run_cli(capsys, "moments", "--k", "-1")
-        assert code == 2 and out == "" and err.strip()
+    # Numpy's overflow warnings would become errors here, so a passing case
+    # leaves stderr with the one diagnostic line.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("--k", "-1"), id="negative-order"),
+        pytest.param(("--n", "1e-300"), id="recursion-underflow"),
+        pytest.param(("--n", "1e-60"), id="direct-overflow"),
+    ])
+    def test_rejects_invalid_input(self, capsys, argv):
+        code, out, err = run_cli(capsys, "moments", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("jcpulse: error:")
 
 
 class TestKrausDump:
@@ -296,6 +305,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.startswith("N,P_exact")
+
+    def test_cli_import_needs_no_scipy(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, jcpulse.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_unknown_command_exits_two(self):
         result = subprocess.run(

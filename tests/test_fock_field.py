@@ -67,7 +67,18 @@ class TestCoherentConstruction:
         assert field.n_max <= 1e4 + 50 * 100 + 100
         assert field.size < 4000
 
-    @pytest.mark.parametrize("bad", [0.0, -3.0])
+    @pytest.mark.parametrize("n_mean", [1e4, 1e6])
+    def test_log_magnitudes_match_exact_integer_ratios(self, n_mean):
+        # |C_n|^2 / |C_lo|^2 = N^(n-lo) lo! / n!, a ratio of integers that
+        # Python's int true division rounds correctly.
+        field = make_coherent(n_mean)
+        lo, big_n = field.n_offset, int(n_mean)
+        for n in (lo + 1, big_n - 1, big_n, big_n + 1, field.n_max):
+            exact = math.log(big_n ** (n - lo) / math.prod(range(lo + 1, n + 1)))
+            got = 2.0 * (field.log_magnitude[n - lo] - field.log_magnitude[0])
+            assert abs(got - exact) <= 1e-12, (n, got - exact)
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0, math.inf, math.nan])
     def test_rejects_nonpositive_mean(self, bad):
         with pytest.raises(ValueError):
             make_coherent(bad)
@@ -173,6 +184,19 @@ class TestCentralMoments:
             central_moments_recursive(10.0, -1)
         with pytest.raises(ValueError):
             central_moments_direct(make_coherent(10.0), -2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_moments(self):
+        # At N = 1e-300, N^2 underflows to zero in the recursion for mu_3 and
+        # ((n-N)/N)^2 overflows in the direct sum; at N = 1e-60 the recursion
+        # stays finite (mu_6 = 1/N^5 = 1e300) while ((n-N)/N)^6 overflows.
+        with pytest.raises(ValueError, match=r"mu_3 .* N=1e-300"):
+            central_moments_recursive(1e-300, 6)
+        with pytest.raises(ValueError, match=r"mu_2 .* N=1e-300"):
+            central_moments_direct(make_coherent(1e-300), 6)
+        with pytest.raises(ValueError, match=r"mu_6 .* N=1e-60"):
+            central_moments_direct(make_coherent(1e-60), 6)
+        assert central_moments_recursive(1e-60, 6)[6] == pytest.approx(1e300, rel=1e-12)
 
     def test_direct_requires_coherent_field(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,6 @@ from .fock_field import (
     make_number_state,
 )
 from .jc_channel import (
-    EXCITED,
-    GROUND,
     KrausSet,
     PulseSpec,
     QubitState,
@@ -33,16 +31,12 @@ from .error_metrics import (
     ErrorReport,
     OptimalAngles,
     asymptotic_p,
-    diagonal_deviation,
     error_rate_exact,
     error_report,
     gea_banacloche,
     landscape_asymptote,
     optimal_vartheta,
     ozawa_bound,
-    p_minus,
-    p_plus,
-    pi_pulse_error,
     resolve_pulse,
 )
 from .pulse_sequence import (
@@ -56,8 +50,6 @@ from .pulse_sequence import (
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
-    "EXCITED",
-    "GROUND",
     "PULSE_MODES",
     "ControlSpec",
     "ErrorReport",
@@ -78,7 +70,6 @@ __all__ = [
     "central_moments_recursive",
     "classical_limit_distance",
     "compare_sequence_vs_single",
-    "diagonal_deviation",
     "error_rate_exact",
     "error_report",
     "gea_banacloche",
@@ -87,9 +78,6 @@ __all__ = [
     "make_number_state",
     "optimal_vartheta",
     "ozawa_bound",
-    "p_minus",
-    "p_plus",
-    "pi_pulse_error",
     "resolve_pulse",
     "run_sequence",
     "split_flip",

@@ -218,6 +218,9 @@ def cmd_moments(args) -> None:
     n_mean = _positive(args.n, "--n")
     if args.k < 0:
         raise UsageError(f"--k must be >= 0, got {args.k}")
+    bound = 1.0 / n_mean
+    if not math.isfinite(bound):
+        raise UsageError(f"--n {n_mean} is too small: 1/N overflows")
     field = make_coherent(n_mean, tail_tol=args.tail_tol)
     direct = central_moments_direct(field, args.k)
     recursive = central_moments_recursive(n_mean, args.k)
@@ -227,7 +230,7 @@ def cmd_moments(args) -> None:
             "k": k,
             "mu_direct": direct[k],
             "mu_recursive": recursive[k],
-            "bound_1_over_N": 1.0 / n_mean,
+            "bound_1_over_N": bound,
         })
     _emit(args, ["k", "mu_direct", "mu_recursive", "bound_1_over_N"], rows,
           {"N": n_mean, "K": args.k, "tail_tol": args.tail_tol})
@@ -263,15 +266,9 @@ def cmd_kraus_dump(args) -> None:
               extra={"field": field.to_json_dict(),
                      "completeness_residual": residual})
     else:
-        flat = []
-        for row in rows:
-            entry = {"n": row["n"]}
-            for label, (re, im) in zip(("M00", "M01", "M10", "M11"), row["M"]):
-                entry[f"{label}_re"] = re
-                entry[f"{label}_im"] = im
-            flat.append(entry)
-        columns = ["n"] + [f"{m}_{p}" for m in ("M00", "M01", "M10", "M11")
-                           for p in ("re", "im")]
+        columns = ["n"] + [f"M{i}{j}_{p}" for i in "01" for j in "01" for p in ("re", "im")]
+        flat = [dict(zip(columns, [row["n"], *(x for pair in row["M"] for x in pair)]))
+                for row in rows]
         _emit(args, columns, flat,
               {"kappa": kraus.pulse.kappa_for(field), "tail_tol": args.tail_tol})
         print(f"# completeness_residual={_fmt(residual)}", file=sys.stderr)

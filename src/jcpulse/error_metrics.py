@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_field import FieldState, make_coherent  # noqa: F401  (perfbench looks it up here)
-from .jc_channel import KrausSet, PulseSpec, QubitState, apply_channel, build_kraus
+from .jc_channel import KrausSet, PulseSpec, build_kraus
+from .jc_channel import apply_channel  # noqa: F401  (perfbench wraps it here)
 
 QUARTER_PI = math.pi / 4
 
@@ -48,6 +49,11 @@ class ControlSpec:
 
     theta0: float
     theta: float
+
+    def __post_init__(self):
+        for name, value in (("theta0", self.theta0), ("theta", self.theta)):
+            if not math.isfinite(value):
+                raise ValueError(f"control angle {name} must be finite, got {value}")
 
     @property
     def midpoint_altitude(self) -> float:
@@ -138,54 +144,14 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
     return PulseSpec.from_vartheta(value, n_mean, mode=mode)
 
 
-def target_error(rho: QubitState, target_angle: float) -> float:
-    """Population of R(target_angle)|1> = (cos, -sin)^T in ``rho``, clipped to [0, 1].
-
-    R(target_angle)|1> is orthogonal to the target R(target_angle)|0>, so
-    this is the error rate P = 1 - F^2 of reaching that target.
-    """
-    perp = np.array([math.cos(target_angle), -math.sin(target_angle)])
-    return min(max(float(np.real(perp @ rho.rho @ perp)), 0.0), 1.0)
+def orthogonal_target(target_angle: float) -> np.ndarray:
+    """R(target_angle)|1> = (cos, -sin)^T; its population after the pulse is P = 1 - F^2."""
+    return np.array([math.cos(target_angle), -math.sin(target_angle)])
 
 
 def error_rate_exact(control: ControlSpec, field: FieldState, pulse: PulseSpec) -> float:
     """Exact error rate of one control against ``field``; see error_report."""
     return error_report(control, build_kraus(field, pulse)).exact
-
-
-def _require_coherent(field: FieldState, what: str) -> None:
-    if not field.is_coherent:
-        raise ValueError(f"{what} is defined for coherent fields")
-
-
-def p_plus(field: FieldState, pulse: PulseSpec) -> float:
-    """Half-rotation error from the excited pole, as a single sum:
-
-    P+ = 1/2 - sum_n |C_n|^2 sqrt(n/N) sin(k sqrt(n)) cos(k sqrt(n+1)).
-    """
-    _require_coherent(field, "p_plus")
-    kappa = pulse.kappa_for(field)
-    n_mean = field.mean_photon_number
-    n = field.photon_numbers().astype(float)
-    p = field.probabilities()
-    terms = p * np.sqrt(n / n_mean) * np.sin(kappa * np.sqrt(n)) * np.cos(kappa * np.sqrt(n + 1.0))
-    return 0.5 - float(terms.sum())
-
-
-def p_minus(field: FieldState, pulse: PulseSpec) -> float:
-    """Half-rotation error from the ground pole, as a single sum:
-
-    P- = 1/2 - sum_{n>=1} |C_n|^2 sqrt(n/N) sin(k sqrt(n)) cos(k sqrt(n-1)).
-    """
-    _require_coherent(field, "p_minus")
-    kappa = pulse.kappa_for(field)
-    n_mean = field.mean_photon_number
-    n = field.photon_numbers().astype(float)
-    p = field.probabilities()
-    keep = n >= 1.0
-    n, p = n[keep], p[keep]
-    terms = p * np.sqrt(n / n_mean) * np.sin(kappa * np.sqrt(n)) * np.cos(kappa * np.sqrt(n - 1.0))
-    return 0.5 - float(terms.sum())
 
 
 def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
@@ -200,56 +166,6 @@ def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
     s2, c2 = math.sin(2 * vartheta), math.cos(2 * vartheta)
     bracket = (1 + 4 * vartheta ** 2) * s2 - 2 * vartheta * c2 + sign * 4 * vartheta * (1 - c2)
     return 0.5 * (1 - s2) + bracket / (16.0 * n_mean)
-
-
-def diagonal_deviation(field: FieldState, pulse: PulseSpec, sign: int) -> float:
-    """Population bias after a half rotation from a pole:
-
-    Delta(+-) = | (1/2) sum_n |C_n|^2 cos(2 k sqrt(n + (1 +- 1)/2)) |.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _require_coherent(field, "diagonal_deviation")
-    kappa = pulse.kappa_for(field)
-    shift = 1.0 if sign == 1 else 0.0
-    n = field.photon_numbers().astype(float)
-    p = field.probabilities()
-    return abs(0.5 * float(np.dot(p, np.cos(2.0 * kappa * np.sqrt(n + shift)))))
-
-
-def pi_pulse_error(theta0: float, field: FieldState, pulse: PulseSpec) -> float:
-    """Full-flip error rate (theta = pi/2) via the specialized sums.
-
-    Closed forms exist for theta0 in {0, pi/4, pi/2, 3pi/4}; any other
-    start falls back to the generic channel path.  3pi/4 is evaluated as
-    -pi/4, which prepares the same density matrix.
-    """
-    _require_coherent(field, "pi_pulse_error")
-    kappa = pulse.kappa_for(field)
-    n_mean = field.mean_photon_number
-    n = field.photon_numbers().astype(float)
-    p = field.probabilities()
-    root = np.sqrt(n)
-    root_up = np.sqrt(n + 1.0)
-
-    def close(a, b):
-        return math.isclose(a, b, abs_tol=1e-12)
-
-    if close(theta0, 0.0):
-        return float(np.dot(p, np.cos(kappa * root) ** 2))
-    if close(theta0, math.pi / 2):
-        return float(np.dot(p, np.cos(kappa * root_up) ** 2))
-    if close(theta0, math.pi / 4) or close(theta0, 3 * math.pi / 4):
-        branch = -1.0 if close(theta0, math.pi / 4) else 1.0
-        even = (np.cos(kappa * root_up) * np.cos(kappa * root)
-                - np.sqrt(n / (1.0 + n)) * np.sin(kappa * root_up) * np.sin(kappa * root))
-        lag = np.zeros_like(n)
-        inner = n >= 1.0
-        lag[inner] = (np.sqrt(n[inner] / n_mean) * np.sin(kappa * root[inner])
-                      * (np.cos(kappa * root_up[inner])
-                         - np.cos(kappa * np.sqrt(n[inner] - 1.0))))
-        return 0.5 + 0.5 * float(np.dot(p, even + branch * lag))
-    return error_rate_exact(ControlSpec(theta0, math.pi / 2), field, pulse)
 
 
 def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
@@ -267,23 +183,22 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
 def error_report(control: ControlSpec, kraus: KrausSet) -> ErrorReport:
     """Evaluate one control exactly and attach all 1/N reference numbers.
 
-    Applies the Kraus map to R(theta0)|0><0|R^dag(theta0) and projects the
-    output onto R(theta0 + theta)|1> (target_error).  ``n_mean`` and
+    P is the weight sum_n |<perp|M_n|psi>|^2 of psi = R(theta0)|0> on
+    perp = R(theta0 + theta)|1> (KrausSet.weight).  ``n_mean`` and
     ``vartheta_used`` come from ``kraus.field`` and ``kraus.pulse``, so one
     Kraus set serves every control evaluated against the same pulse.
 
-    ``delta`` is the deviation of the excited-level population from its
-    target value sin^2(theta0 + theta); for the two pole starts of a half
-    rotation it coincides with the closed-form diagonal_deviation.  The 1/N
+    ``delta`` is the deviation of the excited-level population, the weight
+    on |1>, from its target value sin^2(theta0 + theta).  The 1/N
     references of a zero-photon field are infinite.
     """
     theta0, theta = control.theta0, control.theta
     n_mean = kraus.field.mean_photon_number
     vartheta_used = kraus.pulse.vartheta_for(kraus.field)
 
-    evolved = apply_channel(QubitState.pure(theta0), kraus)
-    exact = target_error(evolved, control.target_angle)
-    delta = abs(evolved.excited_population - math.sin(control.target_angle) ** 2)
+    start = np.array([math.sin(theta0), math.cos(theta0)])
+    exact = min(kraus.weight(orthogonal_target(control.target_angle), start), 1.0)
+    delta = abs(kraus.weight((1.0, 0.0), start) - math.sin(control.target_angle) ** 2)
     if n_mean == 0:
         return ErrorReport(exact, math.inf, math.inf, ozawa_bound(0.0), delta, 0.0, vartheta_used)
 

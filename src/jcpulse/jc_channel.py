@@ -13,20 +13,25 @@ with C_{-1} = 0 and amplitudes outside the field window treated as zero.
 The Kraus index runs one step past the field window on both sides, which
 keeps trace preservation exact for number states and charges only the
 Poisson tail to the completeness residual for coherent states.
+
+With C_n = |C_n| e^{i n phi} (phi = 0 for number states) every operator
+factors as M_n = e^{i n phi} D R_n D^dag with a real R_n (see KrausSet).
+Only the R_n are stored.  Every error is a weight sum_n |w^T M_n v|^2,
+projected term by term as a sum of squares, so an O(1/N) error is never
+the difference of O(1) sums.  The complex M_n are built on demand, for
+the dump and the completeness check only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-
-#: Basis vectors, excited first.
-EXCITED = np.array([1.0, 0.0])
-GROUND = np.array([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,6 @@ class QubitState:
         state = cls(rho=np.array(matrix, dtype=complex))
         state.validate(atol)
         return state
-
-    @property
-    def excited_population(self) -> float:
-        return float(self.rho[0, 0].real)
 
     def validate(self, atol: float = 1e-12) -> None:
         """Raise ValueError unless Hermitian, unit-trace and PSD within atol."""
@@ -136,26 +137,56 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators M_n of one pulse, indexed by the photon number n.
+    """Kraus operators M_n of one pulse in their phase-free form.
 
-    ``operators[i]`` is M_{n_start + i}.  Immutable after construction;
-    safe to share across threads.
+    For coherent phase phi, M_n = e^{i n phi} D R_n D^dag exactly, with
+    D = diag(e^{i(phi - pi/2)}, 1) and the real matrix
+
+        R_n = [[ |C_n| cos(k sqrt(n+1)),     |C_{n+1}| sin(k sqrt(n+1)) ],
+               [ -|C_{n-1}| sin(k sqrt(n)),  |C_n| cos(k sqrt(n)) ]].
+
+    ``rows[i]`` is R_{n_start + i}; ``operators`` is the complex M_n, built
+    on first access.  Immutable after construction; safe to share across threads.
     """
 
-    operators: np.ndarray  # shape (K, 2, 2), complex
+    rows: np.ndarray  # shape (K, 2, 2), real
     n_start: int
     field: FieldState
     pulse: PulseSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", np.asarray(self.operators, dtype=complex))
-        self.operators.flags.writeable = False
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
+        self.rows.flags.writeable = False
 
     def __len__(self) -> int:
-        return self.operators.shape[0]
+        return self.rows.shape[0]
 
     def indices(self) -> np.ndarray:
         return np.arange(self.n_start, self.n_start + len(self))
+
+    def frame(self) -> np.ndarray:
+        """Diagonal of D = diag(e^{i(phi - pi/2)}, 1)."""
+        return np.array([cmath.exp(1j * (self.field.coherent_phase - math.pi / 2)), 1.0])
+
+    def weight(self, w, v) -> float:
+        """sum_n |w^T M_n v|^2 = sum_n |sum_ij R_n[i, j] c_ij|^2, c = (D w)(D^dag v)^T.
+
+        The phase e^{i n phi} drops out; Re c and Im c give two real sums of
+        squares.  einsum keeps the O(K) products out of BLAS, whose threads
+        would wake for them and stall the small products that follow.
+        """
+        d = self.frame()
+        c = np.outer(d * np.asarray(w), d.conj() * np.asarray(v))
+        amps = (np.einsum("nij,ij->n", self.rows, part) for part in (c.real, c.imag))
+        return sum(float(np.sum(amp * amp)) for amp in amps)
+
+    @cached_property
+    def operators(self) -> np.ndarray:
+        """The complex M_n of shape (K, 2, 2), from the stored amplitudes C_n."""
+        ops = _entries(self.field.amplitudes(), self.field.n_offset, self.indices(),
+                       self.pulse.kappa_for(self.field), -1j, -1j)
+        ops.flags.writeable = False
+        return ops
 
     def operator(self, n: int) -> np.ndarray:
         """M_n; zero matrix outside the built index range."""
@@ -169,18 +200,35 @@ class KrausSet:
         return float(np.max(np.abs(gram - np.eye(2))))
 
     def to_json_rows(self) -> list[dict]:
-        rows = []
-        for n, op in zip(self.indices(), self.operators):
-            rows.append({
-                "n": int(n),
-                "M": [[float(op[i, j].real), float(op[i, j].imag)]
-                      for i in range(2) for j in range(2)],
-            })
-        return rows
+        return [{"n": int(n), "M": [[float(z.real), float(z.imag)] for z in op.ravel()]}
+                for n, op in zip(self.indices(), self.operators)]
+
+
+def _entries(coeffs: np.ndarray, lo: int, ns: np.ndarray, kappa: float,
+             up_factor, down_factor) -> np.ndarray:
+    """[[c_n cos(k sqrt(n+1)), up_factor c_{n+1} sin(k sqrt(n+1))],
+        [down_factor c_{n-1} sin(k sqrt(n)), c_n cos(k sqrt(n))]] for n in ``ns``,
+    where ``coeffs[i]`` is c_{lo + i} and every other c_n is zero."""
+    def at(offset: int) -> np.ndarray:
+        idx = ns + offset - lo
+        out = np.zeros(ns.shape[0], dtype=coeffs.dtype)
+        valid = (idx >= 0) & (idx < coeffs.shape[0])
+        out[valid] = coeffs[idx[valid]]
+        return out
+
+    here = at(0)
+    root_up = np.sqrt(ns + 1.0)
+    root_here = np.sqrt(ns.astype(float))
+    entries = np.empty((ns.shape[0], 2, 2), dtype=np.result_type(coeffs, up_factor))
+    entries[:, 0, 0] = here * np.cos(kappa * root_up)
+    entries[:, 0, 1] = up_factor * at(+1) * np.sin(kappa * root_up)
+    entries[:, 1, 0] = down_factor * at(-1) * np.sin(kappa * root_here)
+    entries[:, 1, 1] = here * np.cos(kappa * root_here)
+    return entries
 
 
 def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
-    """Populate the Kraus family of one pulse against ``field``.
+    """Populate the phase-free Kraus rows R_n of one pulse against ``field``.
 
     The index range is [max(0, window_lo - 1), window_hi + 1]: the two
     extra operators carry the couplings C_{lo} and C_{hi} into the levels
@@ -191,42 +239,26 @@ def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
 
-    lo, hi = field.n_offset, field.n_max
-    amp = field.amplitudes()
-    start = max(0, lo - 1)
-    ns = np.arange(start, hi + 2)
-
-    def amp_at(offset: int) -> np.ndarray:
-        idx = ns + offset - lo
-        out = np.zeros(ns.shape[0], dtype=complex)
-        valid = (idx >= 0) & (idx < amp.shape[0])
-        out[valid] = amp[idx[valid]]
-        return out
-
-    c_here = amp_at(0)
-    c_up = amp_at(+1)
-    c_down = amp_at(-1)
-    root_up = np.sqrt(ns + 1.0)
-    root_here = np.sqrt(ns.astype(float))
-
-    ops = np.empty((ns.shape[0], 2, 2), dtype=complex)
-    ops[:, 0, 0] = c_here * np.cos(kappa * root_up)
-    ops[:, 0, 1] = -1j * c_up * np.sin(kappa * root_up)
-    ops[:, 1, 0] = -1j * c_down * np.sin(kappa * root_here)
-    ops[:, 1, 1] = c_here * np.cos(kappa * root_here)
-    return KrausSet(operators=ops, n_start=int(start), field=field, pulse=pulse)
+    start = max(0, field.n_offset - 1)
+    ns = np.arange(start, field.n_max + 2)
+    rows = _entries(np.exp(field.log_magnitude), field.n_offset, ns, kappa, 1.0, -1.0)
+    return KrausSet(rows=rows, n_start=int(start), field=field, pulse=pulse)
 
 
 def apply_channel(rho: QubitState, kraus: KrausSet) -> QubitState:
-    """CPTP map rho -> sum_n M_n rho M_n^dag.
+    """CPTP map rho -> sum_n M_n rho M_n^dag = D (sum_n R_n (D^dag rho D) R_n^T) D^dag.
 
-    The photon-index sum uses numpy's pairwise reduction over ascending n;
-    for a fixed window this is a fixed summation order, so repeated calls
-    are bitwise identical.
+    The real and imaginary parts of D^dag rho D go through the real rows
+    separately; the photon-index sum runs sequentially over ascending n,
+    a fixed order, so repeated calls are bitwise identical.
     """
-    ops = kraus.operators
-    sandwich = ops @ rho.rho @ ops.conj().transpose(0, 2, 1)
-    return QubitState(rho=sandwich.sum(axis=0))
+    d = kraus.frame()
+    inner = d.conj()[:, None] * rho.rho * d
+    rows, rows_t = kraus.rows, kraus.rows.transpose(0, 2, 1)
+    out = (rows @ inner.real @ rows_t).sum(axis=0).astype(complex)
+    if inner.imag.any():
+        out += 1j * (rows @ inner.imag @ rows_t).sum(axis=0)
+    return QubitState(rho=d[:, None] * out * d.conj())
 
 
 def bloch_rotation(vartheta: float) -> np.ndarray:

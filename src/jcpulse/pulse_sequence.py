@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .fock_field import DEFAULT_TAIL_TOL, make_coherent
 from .jc_channel import PulseSpec, QubitState, apply_channel, build_kraus
 from .error_metrics import (
@@ -27,8 +29,8 @@ from .error_metrics import (
     error_rate_exact,
     error_report,
     landscape_asymptote,
+    orthogonal_target,
     resolve_pulse,
-    target_error,
 )
 
 
@@ -102,9 +104,12 @@ def run_sequence(rho0: QubitState, steps: Sequence[SequenceStep],
         pulse = _resolved_step_pulse(step, angle)
         field = make_coherent(step.field_N, phase=math.pi / 2, tail_tol=tail_tol)
         kraus = build_kraus(field, pulse)
-        rho = apply_channel(rho, kraus)
         target = angle + step.theta
-        per_step.append(target_error(rho, target))
+        # P = sum_i lambda_i weight(perp, v_i) over the input state's eigenpairs.
+        lam, vecs = np.linalg.eigh(rho.rho)
+        error = sum(p * kraus.weight(orthogonal_target(target), v) for p, v in zip(lam, vecs.T))
+        per_step.append(min(max(float(error), 0.0), 1.0))
+        rho = apply_channel(rho, kraus)
 
         # Two-branch mixture: the faithful branch sits on the previous
         # target, the leaked branch on its orthogonal complement; the

@@ -19,7 +19,6 @@ from jcpulse import (
     central_moments_recursive,
     classical_limit_distance,
     compare_sequence_vs_single,
-    diagonal_deviation,
     error_rate_exact,
     gea_banacloche,
     landscape_asymptote,
@@ -27,10 +26,9 @@ from jcpulse import (
     make_number_state,
     optimal_vartheta,
     ozawa_bound,
-    p_minus,
-    p_plus,
     run_sequence,
 )
+from paper_sums import diagonal_deviation, p_minus, p_plus
 
 PI = math.pi
 QUARTER_PI = PI / 4

@@ -257,6 +257,7 @@ class TestMomentsCommand:
         pytest.param(("--k", "-1"), id="negative-order"),
         pytest.param(("--n", "1e-300"), id="recursion-underflow"),
         pytest.param(("--n", "1e-60"), id="direct-overflow"),
+        pytest.param(("--n", "1e-320", "--k", "0"), id="bound-overflow"),
     ])
     def test_rejects_invalid_input(self, capsys, argv):
         code, out, err = run_cli(capsys, "moments", *argv)

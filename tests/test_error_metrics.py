@@ -9,7 +9,6 @@ from jcpulse import (
     PulseSpec,
     asymptotic_p,
     build_kraus,
-    diagonal_deviation,
     error_rate_exact,
     error_report,
     gea_banacloche,
@@ -18,11 +17,9 @@ from jcpulse import (
     make_number_state,
     optimal_vartheta,
     ozawa_bound,
-    p_minus,
-    p_plus,
-    pi_pulse_error,
     resolve_pulse,
 )
+from paper_sums import diagonal_deviation, p_minus, p_plus, pi_pulse_error
 
 PI = math.pi
 QUARTER_PI = PI / 4
@@ -91,6 +88,29 @@ class TestErrorRateExact:
         field = make_coherent(100.0)
         pulse = PulseSpec.from_kappa(0.0, 100.0)
         assert error_rate_exact(ControlSpec(0.7, 0.0), field, pulse) <= 1e-12
+
+
+class TestControlSpec:
+    @pytest.mark.parametrize("name", ["theta0", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, name, value):
+        angles = {"theta0": 0.1, "theta": 0.3, name: value}
+        with pytest.raises(ValueError, match=f"angle {name} must be finite"):
+            ControlSpec(**angles)
+
+
+class TestOneOverNLaw:
+    @pytest.mark.parametrize("theta0,coeff", [
+        pytest.param(0.0, (PI - 2) ** 2 / 64, id="ground"),
+        pytest.param(PI / 2, (PI + 2) ** 2 / 64, id="excited"),
+    ])
+    @pytest.mark.parametrize("n_mean", [10.0 ** k for k in range(2, 9)])
+    def test_second_order_residual_stays_bounded(self, theta0, coeff, n_mean):
+        # N * P = c1 + O(1/N) for a half rotation with the nominal pulse, so
+        # N * (N * P / c1 - 1) stays O(1) out to N = 1e8 (about 0.13 from the
+        # ground and -0.18 from the excited pole, plus window truncation).
+        report = nominal_report(theta0, QUARTER_PI, n_mean)
+        assert abs(n_mean * (n_mean * report.exact / coeff - 1.0)) <= 0.5
 
 
 class TestClosedFormSums:

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from jcpulse import (
+    ControlSpec,
     PulseSpec,
     QubitState,
     apply_channel,
     bloch_rotation,
     build_kraus,
     classical_limit_distance,
+    error_report,
     make_coherent,
     make_number_state,
 )
@@ -219,3 +221,44 @@ class TestChannelProperties:
         rhs = (alpha * apply_channel(rho1, kraus).rho
                + (1 - alpha) * apply_channel(rho2, kraus).rho)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def operator_sandwich(kraus, rho):
+    """sum_n M_n rho M_n^dag from the complex operators, summed before projecting."""
+    ops = kraus.operators
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+fields = st.one_of(
+    st.builds(lambda n_mean, phase: make_coherent(n_mean, phase=phase),
+              st.floats(1.0, 1e4), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+    st.builds(make_number_state, st.integers(0, 40)),
+)
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestPhaseFactoring:
+    """The phase-free rows reproduce the complex Kraus map for any field phase."""
+
+    @given(fields, st.floats(0.0, math.pi), angles, angles)
+    @settings(max_examples=60, deadline=None)
+    def test_error_report_matches_operator_sandwich(self, field, vartheta, theta0, theta):
+        kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
+        kraus = build_kraus(field, PulseSpec.from_kappa(kappa))
+        report = error_report(ControlSpec(theta0, theta), kraus)
+
+        start = np.array([math.sin(theta0), math.cos(theta0)])
+        out = operator_sandwich(kraus, np.outer(start, start))
+        target = theta0 + theta
+        perp = np.array([math.cos(target), -math.sin(target)])
+        assert abs(report.exact - float(np.real(perp @ out @ perp))) <= 1e-14
+        assert abs(report.delta - abs(out[0, 0].real - math.sin(target) ** 2)) <= 1e-14
+
+    @given(fields, st.floats(0.0, math.pi), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_channel_matches_operator_sandwich(self, field, vartheta, seed):
+        kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
+        kraus = build_kraus(field, PulseSpec.from_kappa(kappa))
+        rho = random_density(np.random.default_rng(seed))
+        out = apply_channel(rho, kraus).rho
+        assert np.max(np.abs(out - operator_sandwich(kraus, rho.rho))) <= 1e-14

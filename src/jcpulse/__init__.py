@@ -42,7 +42,6 @@ from .error_metrics import (
 from .pulse_sequence import (
     SequenceComparison,
     SequenceReport,
-    SequenceStep,
     compare_sequence_vs_single,
     run_sequence,
     split_flip,
@@ -61,7 +60,6 @@ __all__ = [
     "QubitState",
     "SequenceComparison",
     "SequenceReport",
-    "SequenceStep",
     "apply_channel",
     "asymptotic_p",
     "bloch_rotation",

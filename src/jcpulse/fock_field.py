@@ -28,6 +28,10 @@ DEFAULT_TAIL_TOL = 1e-12
 _INITIAL_HALF_WIDTH = 8.0
 _WIDTH_GROWTH = 1.6
 
+#: Widest number window make_coherent allocates: 2**24 levels hold the
+#: default window N +- 8 sqrt(N) up to N ~ 1e12.
+MAX_LEVELS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class FieldState:
@@ -156,8 +160,8 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
     eps * N log N, leaves in every log-magnitude.
 
     Raises ValueError for a non-positive or non-finite ``n_mean``, a
-    ``tail_tol`` outside (0, 1), or a tail tolerance unattainable within
-    the cap.
+    ``tail_tol`` outside (0, 1), a tail tolerance unattainable within
+    the cap, or a window wider than MAX_LEVELS.
     """
     if not 0 < n_mean < math.inf:
         raise ValueError(
@@ -173,6 +177,10 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
     while True:
         lo = max(0, math.floor(n_mean - width * root_n))
         hi = min(cap, math.ceil(n_mean + width * root_n))
+        if hi - lo + 1 > MAX_LEVELS:
+            raise ValueError(
+                f"N={n_mean} needs a window of {hi - lo + 1} levels, "
+                f"above the cap MAX_LEVELS={MAX_LEVELS}")
         ns = np.arange(lo, hi + 1, dtype=float)
         log_pmf = _poisson_log_pmf(ns, n_mean)
         tail_lo, tail_hi = _tail_bounds(lo, hi, n_mean, log_pmf)

@@ -112,10 +112,6 @@ class PulseSpec:
         return cls(kappa=float(vartheta) / math.sqrt(n_mean),
                    vartheta=float(vartheta), mode=mode)
 
-    @property
-    def is_resolved(self) -> bool:
-        return self.kappa is not None or self.vartheta is not None
-
     def kappa_for(self, field: FieldState) -> float:
         """Coupling-time product to use against ``field``."""
         if self.kappa is not None:
@@ -172,13 +168,15 @@ class KrausSet:
         """sum_n |w^T M_n v|^2 = sum_n |sum_ij R_n[i, j] c_ij|^2, c = (D w)(D^dag v)^T.
 
         The phase e^{i n phi} drops out; Re c and Im c give two real sums of
-        squares.  einsum keeps the O(K) products out of BLAS, whose threads
+        squares, and an all-zero part (Im c at phi = pi/2, where D = I) is
+        skipped.  einsum keeps the O(K) products out of BLAS, whose threads
         would wake for them and stall the small products that follow.
         """
         d = self.frame()
         c = np.outer(d * np.asarray(w), d.conj() * np.asarray(v))
-        amps = (np.einsum("nij,ij->n", self.rows, part) for part in (c.real, c.imag))
-        return sum(float(np.sum(amp * amp)) for amp in amps)
+        amps = (np.einsum("nij,ij->n", self.rows, part)
+                for part in (c.real, c.imag) if part.any())
+        return sum((float(np.sum(amp * amp)) for amp in amps), 0.0)
 
     @cached_property
     def operators(self) -> np.ndarray:
@@ -208,13 +206,15 @@ def _entries(coeffs: np.ndarray, lo: int, ns: np.ndarray, kappa: float,
              up_factor, down_factor) -> np.ndarray:
     """[[c_n cos(k sqrt(n+1)), up_factor c_{n+1} sin(k sqrt(n+1))],
         [down_factor c_{n-1} sin(k sqrt(n)), c_n cos(k sqrt(n))]] for n in ``ns``,
-    where ``coeffs[i]`` is c_{lo + i} and every other c_n is zero."""
+    where ``coeffs[i]`` is c_{lo + i} and every other c_n is zero.  ``ns``
+    is contiguous and reaches at most one level past the window, so each
+    shift is a slice of the coefficients padded with two zeros."""
+    pad = np.zeros(2, dtype=coeffs.dtype)
+    padded = np.concatenate((pad, coeffs, pad))
+    first = int(ns[0]) - lo + 2  # position of c_{ns[0]} in ``padded``
+
     def at(offset: int) -> np.ndarray:
-        idx = ns + offset - lo
-        out = np.zeros(ns.shape[0], dtype=coeffs.dtype)
-        valid = (idx >= 0) & (idx < coeffs.shape[0])
-        out[valid] = coeffs[idx[valid]]
-        return out
+        return padded[first + offset:first + offset + ns.shape[0]]
 
     here = at(0)
     root_up = np.sqrt(ns + 1.0)

@@ -12,7 +12,6 @@ from jcpulse import (
     ControlSpec,
     PulseSpec,
     QubitState,
-    SequenceStep,
     apply_channel,
     build_kraus,
     central_moments_direct,
@@ -155,9 +154,9 @@ def test_c10_sequence_accumulation():
     n_mean = 1e4
 
     def two_step(start):
-        steps = [SequenceStep(QUARTER_PI, n_mean), SequenceStep(QUARTER_PI, n_mean)]
-        return run_sequence(QubitState.pure(start), steps, theta0=start,
-                            tail_tol=TAIL_TOL).cumulative_exact
+        return run_sequence(QubitState.pure(start), [QUARTER_PI] * 2,
+                            make_coherent(n_mean, tail_tol=TAIL_TOL),
+                            theta0=start).cumulative_exact
 
     checks = [
         ("ground", two_step(0.0), (PI ** 2 + 4) / 32, 0.05),

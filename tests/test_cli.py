@@ -126,6 +126,20 @@ class TestSweep:
         assert err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ("table2", "--n", "1e20"),
+    ("sweep", "--n-max", "1e20", "--points", "2"),
+    ("sequence", "--n", "1e20"),
+    ("landscape", "--n", "1e20"),
+    ("moments", "--n", "1e20"),
+    ("kraus-dump", "--n", "1e20", "--kappa", "1e-10"),
+])
+def test_oversized_field_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "MAX_LEVELS" in err
+
+
 class TestTable2:
     def test_grid_and_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--n", "10000")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from jcpulse import (
     make_coherent,
     make_number_state,
 )
+from jcpulse.fock_field import MAX_LEVELS
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,6 +94,16 @@ class TestCoherentConstruction:
         # At N=1 the hard cap n_max ~ 151 leaves pmf(151) ~ 1e-265.
         with pytest.raises(ValueError, match="unattainable"):
             make_coherent(1.0, tail_tol=1e-300)
+
+    def test_oversized_window_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"MAX_LEVELS={MAX_LEVELS}"):
+                make_coherent(1e20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_amplitude_outside_window_is_zero(self):
         field = make_coherent(100.0)

@@ -4,9 +4,7 @@ import pytest
 
 from jcpulse import (
     ControlSpec,
-    PulseSpec,
     QubitState,
-    SequenceStep,
     compare_sequence_vs_single,
     error_rate_exact,
     make_coherent,
@@ -14,15 +12,15 @@ from jcpulse import (
     run_sequence,
     split_flip,
 )
+from jcpulse import error_metrics, pulse_sequence
 
 PI = math.pi
 QUARTER_PI = PI / 4
 
 
 def two_step(start, n_mean, mode="bias-free"):
-    steps = [SequenceStep(QUARTER_PI, n_mean, PulseSpec(mode=mode)),
-             SequenceStep(QUARTER_PI, n_mean, PulseSpec(mode=mode))]
-    return run_sequence(QubitState.pure(start), steps, theta0=start)
+    return run_sequence(QubitState.pure(start), [QUARTER_PI] * 2, make_coherent(n_mean),
+                        mode=mode, theta0=start)
 
 
 class TestTwoStepAccumulation:
@@ -64,8 +62,8 @@ class TestTwoStepAccumulation:
 
     def test_infers_start_angle_from_state(self):
         explicit = two_step(QUARTER_PI, 1e3)
-        steps = [SequenceStep(QUARTER_PI, 1e3), SequenceStep(QUARTER_PI, 1e3)]
-        inferred = run_sequence(QubitState.pure(QUARTER_PI), steps)
+        inferred = run_sequence(QubitState.pure(QUARTER_PI), [QUARTER_PI] * 2,
+                                make_coherent(1e3))
         assert inferred.cumulative_exact == pytest.approx(
             explicit.cumulative_exact, abs=1e-13)
 
@@ -122,10 +120,6 @@ class TestSequenceInvariants:
         assert first.cumulative_mixture == second.cumulative_mixture
         assert (first.final_state.rho == second.final_state.rho).all()
 
-    def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            SequenceStep(QUARTER_PI, 0.0)
-
 
 class TestSingleVsSplit:
     def test_ground_start_ordering(self):
@@ -145,6 +139,24 @@ class TestSingleVsSplit:
         assert report.per_step_error == two_step(QUARTER_PI, 1e3).per_step_error
         assert comparison == compare_sequence_vs_single(PI / 2, QUARTER_PI, 1e3)
         assert comparison.two_step == report.cumulative_exact
+
+    def test_split_flip_shares_the_budget_n_field(self, monkeypatch):
+        built = {"fields": 0, "kraus": 0}
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pulse_sequence, "make_coherent",
+                            counted("fields", pulse_sequence.make_coherent))
+        build_kraus = counted("kraus", pulse_sequence.build_kraus)
+        monkeypatch.setattr(pulse_sequence, "build_kraus", build_kraus)
+        monkeypatch.setattr(error_metrics, "build_kraus", build_kraus)
+        split_flip(0.0, 1e3)
+        assert built["fields"] == 2
+        assert built["kraus"] <= 3
 
     def test_only_full_flip_supported(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,116 @@
+"""Median wall time of each jcpulse layer and of four CLI commands, in-process.
+
+Run from anywhere with ``python scripts/bench_layers.py``; it imports
+jcpulse from the ``src`` directory next to this script and prints one JSON
+object.  Every row is the median of REPEAT = 15 timed calls.  BLAS is pinned to one thread before numpy is imported,
+as in ``perfbench``, so the numbers do not depend on the host's core count.
+
+Each layer is timed separately at N = 1e6 and N = 1e8 against a coherent
+field of phase pi/2 and the quarter-pi pulse:
+
+- ``make_coherent``: the field window;
+- ``build_kraus``: the Kraus rows of one pulse;
+- ``error_report``: one control from the ground pole on a built Kraus set;
+- ``apply_channel``: the ground state through a freshly built Kraus set,
+  so that work a Kraus set builds on its first use is counted;
+- ``run_sequence``: two pi/4 steps from the ground pole on a built field.
+
+The CLI rows run ``jcpulse.cli.main`` with stdout and stderr captured.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from jcpulse import (  # noqa: E402
+    ControlSpec,
+    QubitState,
+    apply_channel,
+    build_kraus,
+    error_report,
+    make_coherent,
+    resolve_pulse,
+    run_sequence,
+)
+from jcpulse import cli  # noqa: E402
+
+REPEAT = 15
+LAYER_N = ("1e6", "1e8")
+CLI_COMMANDS = (
+    ("sweep", "--n-min", "1e4", "--n-max", "1e8", "--points", "5"),
+    ("table2", "--n", "1e6"),
+    ("landscape", "--n", "1e6"),
+    ("sequence", "--n", "1e6"),
+)
+
+
+def median_ms(fn, setup=lambda: None) -> float:
+    """Median over REPEAT calls of fn(setup()); setup is not timed."""
+    times = []
+    for _ in range(REPEAT):
+        arg = setup()
+        start = time.perf_counter()
+        fn(arg)
+        times.append(time.perf_counter() - start)
+    return round(1e3 * statistics.median(times), 4)
+
+
+def layer_times(n_mean: float) -> dict[str, float]:
+    field = make_coherent(n_mean)
+    pulse = resolve_pulse("quarter-pi", n_mean)
+    kraus = build_kraus(field, pulse)
+    control = ControlSpec(0.0, math.pi / 4)
+    ground = QubitState.ground()
+    return {
+        "levels": len(kraus),
+        "make_coherent": median_ms(lambda _: make_coherent(n_mean)),
+        "build_kraus": median_ms(lambda _: build_kraus(field, pulse)),
+        "error_report": median_ms(lambda _: error_report(control, kraus)),
+        "apply_channel": median_ms(lambda fresh: apply_channel(ground, fresh),
+                                   setup=lambda: build_kraus(field, pulse)),
+        "run_sequence": median_ms(
+            lambda _: run_sequence(ground, [math.pi / 4] * 2, field, theta0=0.0)),
+    }
+
+
+def cli_ms(argv: tuple[str, ...]) -> float:
+    def run(_):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        if code != 0:
+            raise SystemExit(f"jcpulse {' '.join(argv)} exited {code}")
+    return median_ms(run)
+
+
+def main() -> int:
+    result = {
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count(),
+                 "blas_threads": 1},
+        "layers_ms": {f"N={n}": layer_times(float(n)) for n in LAYER_N},
+        "cli_ms": {" ".join(argv): cli_ms(argv) for argv in CLI_COMMANDS},
+    }
+    json.dump(result, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -22,6 +22,7 @@ from .fock_field import (
     DEFAULT_TAIL_TOL,
     central_moments_direct,
     central_moments_recursive,
+    coherent_window,
     make_coherent,
     make_number_state,
 )
@@ -108,6 +109,7 @@ def cmd_sweep(args) -> None:
         raise UsageError(f"--points must be >= 2, got {args.points}")
     if args.vartheta_mode == "explicit" and args.vartheta is None:
         raise UsageError("--vartheta-mode explicit requires --vartheta")
+    coherent_window(n_max)  # the grid's widest window; raises before any field is built
 
     if args.spacing == "log":
         grid = np.geomspace(n_min, n_max, args.points)

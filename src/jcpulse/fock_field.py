@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +38,15 @@ MAX_LEVELS = 2 ** 24
 class FieldState:
     """Amplitudes C_n of a pure field state on a contiguous number window.
 
-    Amplitudes are stored as (log-magnitude, phase) pairs and materialized
-    to complex on demand; every C_n outside [n_offset, n_max] is zero.
+    Amplitudes are stored as log-magnitudes; the phases arg C_n =
+    n*coherent_phase mod 2 pi are built on first access of ``phase``,
+    which only the complex views (``amplitudes``, ``amplitude`` and the
+    JSON dump) read.  Every C_n outside [n_offset, n_max] is zero.
     Instances are immutable and safe to share between threads.
     """
 
     n_offset: int
     log_magnitude: np.ndarray
-    phase: np.ndarray
     mean_photon_number: float
     coherent_phase: float
     tail_mass: float
@@ -53,9 +55,14 @@ class FieldState:
     def __post_init__(self):
         object.__setattr__(self, "log_magnitude",
                            np.asarray(self.log_magnitude, dtype=float))
-        object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
         self.log_magnitude.flags.writeable = False
-        self.phase.flags.writeable = False
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """Phases arg C_n = n*coherent_phase mod 2 pi over the stored window."""
+        phase = np.mod(self.photon_numbers() * self.coherent_phase, TWO_PI)
+        phase.flags.writeable = False
+        return phase
 
     @property
     def size(self) -> int:
@@ -147,6 +154,30 @@ def _tail_bounds(lo: int, hi: int, n_mean: float,
     return lower, upper
 
 
+def _n_max_cap(n_mean: float) -> int:
+    """Hard cap on a coherent window's top level: N + 50 sqrt(N) + 100."""
+    return int(n_mean + 50.0 * math.sqrt(n_mean) + 100.0)
+
+
+def coherent_window(n_mean: float, width: float = _INITIAL_HALF_WIDTH) -> tuple[int, int]:
+    """Number window [lo, hi] of half-width ``width`` sqrt(N) around N.
+
+    The window is clipped to [0, N + 50 sqrt(N) + 100].  At the default
+    ``width`` it is the smallest window make_coherent can return for N,
+    so a caller can reject an oversized N before building anything; the
+    helper itself allocates nothing.  Raises ValueError if the window
+    holds more than MAX_LEVELS levels.
+    """
+    root_n = math.sqrt(n_mean)
+    lo = max(0, math.floor(n_mean - width * root_n))
+    hi = min(_n_max_cap(n_mean), math.ceil(n_mean + width * root_n))
+    if hi - lo + 1 > MAX_LEVELS:
+        raise ValueError(
+            f"N={n_mean} needs a window of {hi - lo + 1} levels, "
+            f"above the cap MAX_LEVELS={MAX_LEVELS}")
+    return lo, hi
+
+
 def make_coherent(n_mean: float, phase: float = math.pi / 2,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> FieldState:
     """Build a coherent state with mean photon number ``n_mean``.
@@ -169,18 +200,10 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
-    phase = float(phase) % TWO_PI
-    root_n = math.sqrt(n_mean)
-    cap = int(n_mean + 50.0 * root_n + 100.0)
-
+    cap = _n_max_cap(n_mean)
     width = _INITIAL_HALF_WIDTH
     while True:
-        lo = max(0, math.floor(n_mean - width * root_n))
-        hi = min(cap, math.ceil(n_mean + width * root_n))
-        if hi - lo + 1 > MAX_LEVELS:
-            raise ValueError(
-                f"N={n_mean} needs a window of {hi - lo + 1} levels, "
-                f"above the cap MAX_LEVELS={MAX_LEVELS}")
+        lo, hi = coherent_window(n_mean, width)
         ns = np.arange(lo, hi + 1, dtype=float)
         log_pmf = _poisson_log_pmf(ns, n_mean)
         tail_lo, tail_hi = _tail_bounds(lo, hi, n_mean, log_pmf)
@@ -199,9 +222,8 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
     return FieldState(
         n_offset=int(lo),
         log_magnitude=0.5 * log_pmf + shift,
-        phase=np.mod(np.arange(lo, hi + 1, dtype=float) * phase, TWO_PI),
         mean_photon_number=float(n_mean),
-        coherent_phase=phase,
+        coherent_phase=float(phase) % TWO_PI,
         tail_mass=tail,
         kind="coherent",
     )
@@ -215,7 +237,6 @@ def make_number_state(m: int) -> FieldState:
     return FieldState(
         n_offset=m,
         log_magnitude=np.zeros(1),
-        phase=np.zeros(1),
         mean_photon_number=float(m),
         coherent_phase=0.0,
         tail_mass=0.0,

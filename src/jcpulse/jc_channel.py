@@ -16,10 +16,13 @@ Poisson tail to the completeness residual for coherent states.
 
 With C_n = |C_n| e^{i n phi} (phi = 0 for number states) every operator
 factors as M_n = e^{i n phi} D R_n D^dag with a real R_n (see KrausSet).
-Only the R_n are stored.  Every error is a weight sum_n |w^T M_n v|^2,
-projected term by term as a sum of squares, so an O(1/N) error is never
-the difference of O(1) sums.  The complex M_n are built on demand, for
-the dump and the completeness check only.
+Only the R_n are stored, as four contiguous columns over n, built from one
+cos and one sin pass over k sqrt(m).  Every error is a weight
+sum_n |w^T M_n v|^2, projected term by term as a sum of squares, so an
+O(1/N) error is never the difference of O(1) sums.  The channel itself
+goes through the real 4x4 transfer matrix sum_n R_n (x) R_n, contracted
+over n once per Kraus set.  The complex M_n are built on demand, for the
+dump and the completeness check only.
 """
 
 from __future__ import annotations
@@ -59,29 +62,6 @@ class QubitState:
     @classmethod
     def excited(cls) -> "QubitState":
         return cls.pure(math.pi / 2)
-
-    @classmethod
-    def maximally_mixed(cls) -> "QubitState":
-        return cls(rho=0.5 * np.eye(2, dtype=complex))
-
-    @classmethod
-    def from_matrix(cls, matrix, atol: float = 1e-12) -> "QubitState":
-        """Wrap and validate an externally supplied density matrix."""
-        state = cls(rho=np.array(matrix, dtype=complex))
-        state.validate(atol)
-        return state
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Raise ValueError unless Hermitian, unit-trace and PSD within atol."""
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > atol:
-            raise ValueError(f"density matrix not Hermitian within {atol}: {herm:.3e}")
-        tr = abs(self.rho.trace() - 1.0)
-        if tr > atol:
-            raise ValueError(f"density matrix trace deviates by {tr:.3e}")
-        eigs = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
-        if eigs.min() < -atol:
-            raise ValueError(f"density matrix not PSD: min eigenvalue {eigs.min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -141,21 +121,24 @@ class KrausSet:
         R_n = [[ |C_n| cos(k sqrt(n+1)),     |C_{n+1}| sin(k sqrt(n+1)) ],
                [ -|C_{n-1}| sin(k sqrt(n)),  |C_n| cos(k sqrt(n)) ]].
 
-    ``rows[i]`` is R_{n_start + i}; ``operators`` is the complex M_n, built
-    on first access.  Immutable after construction; safe to share across threads.
+    ``rows[i, j]`` is the contiguous column of entries R_n[i, j] over
+    n = n_start, n_start + 1, ... (shape (2, 2, K)).  ``transfer``, the
+    channel's real 4x4 Liouville form, and ``operators``, the complex M_n
+    of shape (K, 2, 2), are built on first access.  Immutable after
+    construction; safe to share across threads.
     """
 
-    rows: np.ndarray  # shape (K, 2, 2), real
+    rows: np.ndarray  # shape (2, 2, K), real, C-contiguous
     n_start: int
     field: FieldState
     pulse: PulseSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
+        object.__setattr__(self, "rows", np.ascontiguousarray(self.rows, dtype=float))
         self.rows.flags.writeable = False
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.rows.shape[2]
 
     def indices(self) -> np.ndarray:
         return np.arange(self.n_start, self.n_start + len(self))
@@ -164,33 +147,56 @@ class KrausSet:
         """Diagonal of D = diag(e^{i(phi - pi/2)}, 1)."""
         return np.array([cmath.exp(1j * (self.field.coherent_phase - math.pi / 2)), 1.0])
 
-    def weight(self, w, v) -> float:
-        """sum_n |w^T M_n v|^2 = sum_n |sum_ij R_n[i, j] c_ij|^2, c = (D w)(D^dag v)^T.
+    def amplitudes(self, w, v) -> np.ndarray:
+        """Phase-free amplitudes e^{-i n phi} w^T M_n v = sum_ij R_n[i, j] c_ij over n.
 
-        The phase e^{i n phi} drops out; Re c and Im c give two real sums of
-        squares, and an all-zero part (Im c at phi = pi/2, where D = I) is
-        skipped.  einsum keeps the O(K) products out of BLAS, whose threads
+        c = (D w)(D^dag v)^T; an all-zero part of c (Im c at phi = pi/2,
+        where D = I) is skipped, so the amplitudes of real w and v are then
+        real.  einsum keeps the O(K) products out of BLAS, whose threads
         would wake for them and stall the small products that follow.
         """
         d = self.frame()
         c = np.outer(d * np.asarray(w), d.conj() * np.asarray(v))
-        amps = (np.einsum("nij,ij->n", self.rows, part)
-                for part in (c.real, c.imag) if part.any())
-        return sum((float(np.sum(amp * amp)) for amp in amps), 0.0)
+        amp = np.einsum("ijn,ij->n", self.rows, c.real)
+        if c.imag.any():
+            amp = amp + 1j * np.einsum("ijn,ij->n", self.rows, c.imag)
+        return amp
+
+    def weight(self, w, v) -> float:
+        """sum_n |w^T M_n v|^2: the phase e^{i n phi} drops out, and the real
+        and imaginary parts of ``amplitudes`` give two real sums of squares."""
+        amp = self.amplitudes(w, v)
+        parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
+        return sum((float(np.sum(part * part)) for part in parts), 0.0)
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """Transfer matrix S[i, j, k, l] = sum_n R_n[i, k] R_n[j, l], shape (2, 2, 2, 2).
+
+        S is the real 4x4 Liouville form of X -> sum_n R_n X R_n^T:
+        (sum_n R_n X R_n^T)[i, j] = sum_kl S[i, j, k, l] X[k, l].  It is the
+        Gram matrix of the four entry columns, reordered; each of its ten
+        distinct entries is one product column summed pairwise, without
+        BLAS (see ``amplitudes``); a running sum (einsum) loses about six
+        times more.
+        """
+        columns = self.rows.reshape(4, -1)
+        gram = np.empty((4, 4))
+        for p in range(4):
+            gram[p, p:] = (columns[p] * columns[p:]).sum(axis=1)
+            gram[p:, p] = gram[p, p:]
+        transfer = np.ascontiguousarray(gram.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3))
+        transfer.flags.writeable = False
+        return transfer
 
     @cached_property
     def operators(self) -> np.ndarray:
         """The complex M_n of shape (K, 2, 2), from the stored amplitudes C_n."""
-        ops = _entries(self.field.amplitudes(), self.field.n_offset, self.indices(),
+        ops = _entries(self.field.amplitudes(), self.field.n_offset, self.n_start, len(self),
                        self.pulse.kappa_for(self.field), -1j, -1j)
+        ops = np.ascontiguousarray(ops.transpose(2, 0, 1))
         ops.flags.writeable = False
         return ops
-
-    def operator(self, n: int) -> np.ndarray:
-        """M_n; zero matrix outside the built index range."""
-        if n < self.n_start or n >= self.n_start + len(self):
-            return np.zeros((2, 2), dtype=complex)
-        return self.operators[n - self.n_start]
 
     def completeness_residual(self) -> float:
         """Max-entry norm of sum_n M_n^dag M_n - I."""
@@ -202,28 +208,34 @@ class KrausSet:
                 for n, op in zip(self.indices(), self.operators)]
 
 
-def _entries(coeffs: np.ndarray, lo: int, ns: np.ndarray, kappa: float,
+def _entries(coeffs: np.ndarray, lo: int, start: int, count: int, kappa: float,
              up_factor, down_factor) -> np.ndarray:
-    """[[c_n cos(k sqrt(n+1)), up_factor c_{n+1} sin(k sqrt(n+1))],
-        [down_factor c_{n-1} sin(k sqrt(n)), c_n cos(k sqrt(n))]] for n in ``ns``,
-    where ``coeffs[i]`` is c_{lo + i} and every other c_n is zero.  ``ns``
-    is contiguous and reaches at most one level past the window, so each
-    shift is a slice of the coefficients padded with two zeros."""
+    """Entry columns E[i, j] (shape (2, 2, count)) of
+
+        [[c_n cos(k sqrt(n+1)),  up_factor c_{n+1} sin(k sqrt(n+1))],
+         [down_factor c_{n-1} sin(k sqrt(n)),  c_n cos(k sqrt(n))]]
+
+    for n = start .. start + count - 1, where ``coeffs[i]`` is c_{lo + i}
+    and every other c_n is zero.  cos and sin are taken once of
+    k sqrt(m), m = start .. start + count; the n+1 entries read that result
+    shifted by one.  The levels reach at most one past the window, so each
+    shift of the coefficients is a slice of them padded with two zeros.
+    """
     pad = np.zeros(2, dtype=coeffs.dtype)
     padded = np.concatenate((pad, coeffs, pad))
-    first = int(ns[0]) - lo + 2  # position of c_{ns[0]} in ``padded``
+    first = start - lo + 2  # position of c_start in ``padded``
 
     def at(offset: int) -> np.ndarray:
-        return padded[first + offset:first + offset + ns.shape[0]]
+        return padded[first + offset:first + offset + count]
 
+    angle = kappa * np.sqrt(np.arange(start, start + count + 1, dtype=float))
+    cos, sin = np.cos(angle), np.sin(angle)
     here = at(0)
-    root_up = np.sqrt(ns + 1.0)
-    root_here = np.sqrt(ns.astype(float))
-    entries = np.empty((ns.shape[0], 2, 2), dtype=np.result_type(coeffs, up_factor))
-    entries[:, 0, 0] = here * np.cos(kappa * root_up)
-    entries[:, 0, 1] = up_factor * at(+1) * np.sin(kappa * root_up)
-    entries[:, 1, 0] = down_factor * at(-1) * np.sin(kappa * root_here)
-    entries[:, 1, 1] = here * np.cos(kappa * root_here)
+    entries = np.empty((2, 2, count), dtype=np.result_type(coeffs, up_factor))
+    np.multiply(here, cos[1:], out=entries[0, 0])
+    np.multiply(up_factor * at(+1), sin[1:], out=entries[0, 1])
+    np.multiply(down_factor * at(-1), sin[:-1], out=entries[1, 0])
+    np.multiply(here, cos[:-1], out=entries[1, 1])
     return entries
 
 
@@ -240,24 +252,20 @@ def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
         raise ValueError(f"kappa must be finite, got {kappa}")
 
     start = max(0, field.n_offset - 1)
-    ns = np.arange(start, field.n_max + 2)
-    rows = _entries(np.exp(field.log_magnitude), field.n_offset, ns, kappa, 1.0, -1.0)
+    rows = _entries(np.exp(field.log_magnitude), field.n_offset, start,
+                    field.n_max + 2 - start, kappa, 1.0, -1.0)
     return KrausSet(rows=rows, n_start=int(start), field=field, pulse=pulse)
 
 
 def apply_channel(rho: QubitState, kraus: KrausSet) -> QubitState:
     """CPTP map rho -> sum_n M_n rho M_n^dag = D (sum_n R_n (D^dag rho D) R_n^T) D^dag.
 
-    The real and imaginary parts of D^dag rho D go through the real rows
-    separately; the photon-index sum runs sequentially over ascending n,
-    a fixed order, so repeated calls are bitwise identical.
+    The photon-index sum is contracted once into ``kraus.transfer``, so a
+    call is O(1) after the first; repeated calls are bitwise identical.
     """
     d = kraus.frame()
     inner = d.conj()[:, None] * rho.rho * d
-    rows, rows_t = kraus.rows, kraus.rows.transpose(0, 2, 1)
-    out = (rows @ inner.real @ rows_t).sum(axis=0).astype(complex)
-    if inner.imag.any():
-        out += 1j * (rows @ inner.imag @ rows_t).sum(axis=0)
+    out = np.einsum("ijkl,kl->ij", kraus.transfer, inner)
     return QubitState(rho=d[:, None] * out * d.conj())
 
 

@@ -12,6 +12,13 @@ when each step's population bias is suppressed, hence the bias-free
 default), and the plain sum of the per-step leading 1/N terms.  A step
 builds a Kraus set only when its resolved pulse changes; the running
 state and both mixture branches share it.
+
+The running state is carried in the basis of its current target and that
+target's orthogonal complement, where its O(1/N) entries are sums of
+per-level products of their own size.  In the lab basis they would be
+differences of O(1) entries, and the next step's error, which weighs the
+state's small eigenvalue, would inherit their absolute rounding (about
+1e-16, or 1e-7 relative at N = 1e8).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import QubitState, apply_channel, build_kraus
+from .jc_channel import KrausSet, QubitState, build_kraus
 from .error_metrics import (
     ControlSpec,
     error_rate_exact,
@@ -60,6 +67,23 @@ def _infer_start_angle(rho0: QubitState) -> float:
     return 0.5 * math.atan2(2.0 * m[0, 1].real, float(m[1, 1].real - m[0, 0].real))
 
 
+def _output_in_basis(kraus: KrausSet, lam, vecs, basis: np.ndarray) -> np.ndarray:
+    """B (sum_n M_n rho M_n^dag) B^T for rho = sum_k lam_k v_k v_k^dag.
+
+    ``basis`` holds the real orthonormal rows B; ``vecs`` holds the v_k
+    as columns.  The diagonal entries are weights (sums of squares) and the
+    off-diagonal one sums the per-level products of the two amplitudes.
+    """
+    out = np.zeros((2, 2), dtype=complex)
+    for p, v in zip(lam, vecs.T):
+        out[0, 0] += p * kraus.weight(basis[0], v)
+        out[1, 1] += p * kraus.weight(basis[1], v)
+        out[0, 1] += p * np.sum(kraus.amplitudes(basis[0], v)
+                                * kraus.amplitudes(basis[1], v).conj())
+    out[1, 0] = out[0, 1].conjugate()
+    return out
+
+
 def run_sequence(rho0: QubitState, steps: Sequence[float], field: FieldState,
                  mode: str = "bias-free", theta0: float | None = None) -> SequenceReport:
     """Rotate ``rho0`` by each angle in ``steps``; report exact and estimated errors.
@@ -74,7 +98,8 @@ def run_sequence(rho0: QubitState, steps: Sequence[float], field: FieldState,
         theta0 = _infer_start_angle(rho0)
 
     n_mean = field.mean_photon_number
-    rho = rho0
+    final_state = rho0
+    lam, vecs = np.linalg.eigh(rho0.rho)
     angle = theta0
     kraus = None
     mixture = 0.0
@@ -86,11 +111,14 @@ def run_sequence(rho0: QubitState, steps: Sequence[float], field: FieldState,
         if kraus is None or kraus.pulse != pulse:
             kraus = build_kraus(field, pulse)
         target = angle + theta
-        # P = sum_i lambda_i weight(perp, v_i) over the input state's eigenpairs.
-        lam, vecs = np.linalg.eigh(rho.rho)
-        error = sum(p * kraus.weight(orthogonal_target(target), v) for p, v in zip(lam, vecs.T))
-        per_step.append(min(max(float(error), 0.0), 1.0))
-        rho = apply_channel(rho, kraus)
+        # The output state in the basis (target, orthogonal target); its
+        # weight on the orthogonal target is the error.
+        basis = np.array([[math.sin(target), math.cos(target)], orthogonal_target(target)])
+        sigma = _output_in_basis(kraus, lam, vecs, basis)
+        per_step.append(min(max(float(sigma[1, 1].real), 0.0), 1.0))
+        lam, frame_vecs = np.linalg.eigh(sigma)
+        vecs = basis.T @ frame_vecs
+        final_state = QubitState(rho=basis.T @ sigma @ basis)
 
         # Two-branch mixture: the faithful branch sits on the previous
         # target, the leaked branch on its orthogonal complement; the
@@ -111,7 +139,7 @@ def run_sequence(rho0: QubitState, steps: Sequence[float], field: FieldState,
         cumulative_exact=per_step[-1] if per_step else 0.0,
         cumulative_mixture=mixture,
         cumulative_asymptote=asymptote,
-        final_state=rho,
+        final_state=final_state,
         target_angles=tuple(targets),
         per_step_mixture=tuple(mixtures),
         per_step_asymptote=tuple(asymptotes),

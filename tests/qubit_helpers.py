@@ -1,0 +1,59 @@
+"""Test-only constructors and checks for qubit states and Kraus sets."""
+
+import math
+
+import numpy as np
+
+from jcpulse import KrausSet, QubitState
+
+
+def maximally_mixed() -> QubitState:
+    return QubitState(rho=0.5 * np.eye(2, dtype=complex))
+
+
+def validate(state: QubitState, atol: float = 1e-12) -> None:
+    """Raise ValueError unless Hermitian, unit-trace and PSD within atol."""
+    rho = state.rho
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > atol:
+        raise ValueError(f"density matrix not Hermitian within {atol}: {herm:.3e}")
+    tr = abs(rho.trace() - 1.0)
+    if tr > atol:
+        raise ValueError(f"density matrix trace deviates by {tr:.3e}")
+    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if eigs.min() < -atol:
+        raise ValueError(f"density matrix not PSD: min eigenvalue {eigs.min():.3e}")
+
+
+def operator(kraus: KrausSet, n: int) -> np.ndarray:
+    """M_n; zero matrix outside the built index range."""
+    if n < kraus.n_start or n >= kraus.n_start + len(kraus):
+        return np.zeros((2, 2), dtype=complex)
+    return kraus.operators[n - kraus.n_start]
+
+
+def phase_free_operators(kraus: KrausSet) -> np.ndarray:
+    """D R_n D^dag = e^{-i n phi} M_n, shape (K, 2, 2), from the rows.
+
+    The dropped phase cancels in every M_n rho M_n^dag.  ``kraus.operators``
+    carries it rounded: n*phi mod 2 pi loses about eps*n*phi, which moves a
+    sandwich summed over N ~ 1e4 levels by up to about 1.6e-15.
+    """
+    d = kraus.frame()
+    return d[:, None] * kraus.rows.transpose(2, 0, 1) * d.conj()
+
+
+def fsum_sandwich(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """sum_n M_n rho M_n^dag, each entry's real and imaginary parts one
+    math.fsum over n, so that only the per-level products round."""
+    ops = phase_free_operators(kraus)
+    terms = ops @ rho @ ops.conj().transpose(0, 2, 1)
+    return np.array([[complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
+                      for j in range(2)] for i in range(2)])
+
+
+def fsum_gram(amps: np.ndarray) -> np.ndarray:
+    """G[i, j] = sum_n amps[n, i] conj(amps[n, j]), each part one math.fsum over n."""
+    terms = amps[:, :, None] * amps[:, None, :].conj()
+    return np.array([[complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
+                      for j in range(2)] for i in range(2)])

@@ -15,6 +15,7 @@ from jcpulse import (
     make_coherent,
     resolve_pulse,
 )
+from jcpulse import cli
 from jcpulse.cli import START_ANGLES, main
 
 PI = math.pi
@@ -138,6 +139,17 @@ def test_oversized_field_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "MAX_LEVELS" in err
+
+
+def test_oversized_sweep_builds_no_field(capsys, monkeypatch):
+    # The default 13-point grid reaches N ~ 3e10 before its first oversized
+    # point; the widest window is checked before any field is built.
+    calls = []
+    monkeypatch.setattr(cli, "make_coherent", lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "1e20")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "N=1e+20" in err and "MAX_LEVELS" in err
+    assert calls == []
 
 
 class TestTable2:

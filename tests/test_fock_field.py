@@ -12,7 +12,7 @@ from jcpulse import (
     make_coherent,
     make_number_state,
 )
-from jcpulse.fock_field import MAX_LEVELS
+from jcpulse.fock_field import MAX_LEVELS, coherent_window
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,6 +104,15 @@ class TestCoherentConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_mean", [1e2, 1e4, 1e6, 1e8])
+    def test_window_helper_gives_the_default_window(self, n_mean):
+        field = make_coherent(n_mean)
+        assert coherent_window(n_mean) == (field.n_offset, field.n_max)
+
+    def test_window_helper_rejects_oversized_n(self):
+        with pytest.raises(ValueError, match=f"MAX_LEVELS={MAX_LEVELS}"):
+            coherent_window(1e20)
 
     def test_amplitude_outside_window_is_zero(self):
         field = make_coherent(100.0)

@@ -17,6 +17,8 @@ from jcpulse import (
     make_coherent,
     make_number_state,
 )
+from jcpulse import pulse_sequence, run_sequence
+from qubit_helpers import fsum_sandwich, maximally_mixed, operator, validate
 
 QUARTER_PI = math.pi / 4
 
@@ -37,26 +39,17 @@ class TestQubitState:
         assert np.allclose(QubitState.ground().rho, np.diag([0.0, 1.0]))
         assert np.allclose(QubitState.excited().rho, np.diag([1.0, 0.0]))
 
-    def test_from_matrix_validates(self):
-        QubitState.from_matrix([[0.5, 0.2], [0.2, 0.5]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            QubitState.from_matrix([[0.5, 0.2], [-0.2, 0.5]])
-        with pytest.raises(ValueError, match="trace"):
-            QubitState.from_matrix([[0.7, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="PSD"):
-            QubitState.from_matrix([[0.9, 0.5], [0.5, 0.1]])
-
 
 class TestKrausStructure:
     def test_vacuum_field_operators(self):
         kappa = 0.7
         kraus = build_kraus(make_number_state(0), PulseSpec.from_kappa(kappa))
         assert list(kraus.indices()) == [0, 1]
-        assert np.allclose(kraus.operator(0), np.diag([math.cos(kappa), 1.0]))
+        assert np.allclose(operator(kraus, 0), np.diag([math.cos(kappa), 1.0]))
         expected_m1 = np.zeros((2, 2), complex)
         expected_m1[1, 0] = -1j * math.sin(kappa)
-        assert np.allclose(kraus.operator(1), expected_m1)
-        assert np.allclose(kraus.operator(5), 0.0)
+        assert np.allclose(operator(kraus, 1), expected_m1)
+        assert np.allclose(operator(kraus, 5), 0.0)
         assert kraus.completeness_residual() <= 1e-15
 
     def test_entry_pattern_against_amplitudes(self):
@@ -64,7 +57,7 @@ class TestKrausStructure:
         kappa = 0.05
         kraus = build_kraus(field, PulseSpec.from_kappa(kappa, 30.0))
         for n in (field.n_offset, field.n_offset + 7, field.n_max):
-            op = kraus.operator(n)
+            op = operator(kraus, n)
             assert op[0, 0] == pytest.approx(field.amplitude(n) * math.cos(kappa * math.sqrt(n + 1)))
             assert op[0, 1] == pytest.approx(-1j * field.amplitude(n + 1) * math.sin(kappa * math.sqrt(n + 1)))
             assert op[1, 0] == pytest.approx(-1j * field.amplitude(n - 1) * math.sin(kappa * math.sqrt(n)))
@@ -177,10 +170,10 @@ class TestClassicalLimit:
         field = make_coherent(n_mean)
 
         def residual(vartheta):
-            out = apply_channel(QubitState.maximally_mixed(),
+            out = apply_channel(maximally_mixed(),
                                 build_kraus(field, PulseSpec.from_vartheta(vartheta, n_mean)))
             res = out.rho - 0.5 * np.eye(2)
-            distance = classical_limit_distance(QubitState.maximally_mixed(), n_mean, vartheta)
+            distance = classical_limit_distance(maximally_mixed(), n_mean, vartheta)
             assert distance == pytest.approx(np.max(np.abs(res)), abs=1e-15)
             return res
 
@@ -207,7 +200,7 @@ class TestChannelProperties:
             field = make_coherent(n_mean)
             kraus = build_kraus(field, PulseSpec.from_vartheta(vartheta, n_mean))
             out = apply_channel(random_density(rng), kraus)
-            out.validate(atol=1e-11)
+            validate(out, atol=1e-11)
 
     @given(st.floats(0.0, 1.0), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -262,3 +255,34 @@ class TestPhaseFactoring:
         rho = random_density(np.random.default_rng(seed))
         out = apply_channel(rho, kraus).rho
         assert np.max(np.abs(out - operator_sandwich(kraus, rho.rho))) <= 1e-14
+
+    # 1e-15 is three times the worst of 3000 random cases, not a proven
+    # bound, so the examples are fixed (derandomize) and the suite stays
+    # deterministic.
+    @given(fields, st.floats(0.0, math.pi), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_apply_channel_matches_fsum_sandwich(self, field, vartheta, seed):
+        kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
+        kraus = build_kraus(field, PulseSpec.from_kappa(kappa))
+        rho = random_density(np.random.default_rng(seed))
+        out = apply_channel(rho, kraus).rho
+        assert np.max(np.abs(out - fsum_sandwich(kraus, rho.rho))) <= 1e-15
+
+
+def test_evaluations_build_no_phase_and_no_complex_operators(monkeypatch):
+    """error_report, run_sequence and build_kraus work on the log-magnitudes
+    and the real rows only; the phases and the complex M_n stay unbuilt."""
+    original, built = pulse_sequence.build_kraus, []
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pulse_sequence, "build_kraus", recording)
+    field = make_coherent(1e4, phase=0.3)
+    built.append(build_kraus(field, PulseSpec.from_vartheta(QUARTER_PI, 1e4)))
+    error_report(ControlSpec(0.2, QUARTER_PI), built[0])
+    run_sequence(QubitState.pure(0.2), [QUARTER_PI] * 2, field, theta0=0.2)
+    assert len(built) >= 2
+    assert "phase" not in field.__dict__
+    assert all("operators" not in kraus.__dict__ for kraus in built)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from jcpulse import (
     ControlSpec,
     QubitState,
+    build_kraus,
     compare_sequence_vs_single,
     error_rate_exact,
     make_coherent,
@@ -13,6 +15,8 @@ from jcpulse import (
     split_flip,
 )
 from jcpulse import error_metrics, pulse_sequence
+from jcpulse.error_metrics import orthogonal_target
+from qubit_helpers import fsum_gram, phase_free_operators
 
 PI = math.pi
 QUARTER_PI = PI / 4
@@ -21,6 +25,25 @@ QUARTER_PI = PI / 4
 def two_step(start, n_mean, mode="bias-free"):
     return run_sequence(QubitState.pure(start), [QUARTER_PI] * 2, make_coherent(n_mean),
                         mode=mode, theta0=start)
+
+
+def fsum_second_step_error(start, n_mean):
+    """Step 2's error of ``two_step`` from per-level products and math.fsum only.
+
+    With B the basis (middle target, its orthogonal target) the state after
+    step 1 is sigma = fsum_gram(a), a_ni = b_i^T M_n psi, and the error is
+    sum_ij sigma_ij G_ij with G = fsum_gram(g), g_ni = perp^T M'_n b_i.
+    Every sum has terms of its own size, so the reference keeps about
+    twelve digits at N = 1e8 (a lab-basis state would lose about seven)."""
+    field = make_coherent(n_mean)
+    first, second = (phase_free_operators(build_kraus(
+        field, resolve_pulse("bias-free", n_mean, base=QUARTER_PI, start_angle=angle)))
+        for angle in (start, start + QUARTER_PI))
+    middle = start + QUARTER_PI
+    basis = np.array([[math.sin(middle), math.cos(middle)], orthogonal_target(middle)])
+    sigma = fsum_gram(basis @ first @ np.array([math.sin(start), math.cos(start)]))
+    gram = fsum_gram(orthogonal_target(middle + QUARTER_PI) @ second @ basis.T)
+    return math.fsum((sigma * gram).real.ravel())
 
 
 class TestTwoStepAccumulation:
@@ -52,6 +75,16 @@ class TestTwoStepAccumulation:
             (PI ** 2 + 4) / (32 * n_mean), rel=1e-12)
         assert ground.cumulative_exact == pytest.approx(
             excited.cumulative_exact, rel=0.05)
+
+    @pytest.mark.parametrize("n_mean", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("start", [0.0, QUARTER_PI, PI / 2, 3 * QUARTER_PI],
+                             ids=["ground", "plus", "excited", "threequarter"])
+    def test_second_step_error_matches_fsum_reference(self, start, n_mean):
+        # The second step weighs the state after the first, whose small
+        # eigenvalue is O(1/N); the bound is 100x the worst case seen.
+        report = two_step(start, n_mean)
+        assert report.per_step_error[1] == pytest.approx(
+            fsum_second_step_error(start, n_mean), rel=1e-12, abs=0.0)
 
     def test_report_shapes(self):
         report = two_step(0.0, 1e3)

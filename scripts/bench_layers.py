@@ -86,7 +86,7 @@ def layer_times(n_mean: float) -> dict[str, float]:
         "apply_channel": median_ms(lambda fresh: apply_channel(ground, fresh),
                                    setup=lambda: build_kraus(field, pulse)),
         "run_sequence": median_ms(
-            lambda _: run_sequence(ground, [math.pi / 4] * 2, field, theta0=0.0)),
+            lambda _: run_sequence(0.0, [math.pi / 4] * 2, field)),
     }
 
 

@@ -250,37 +250,35 @@ def cmd_kraus_dump(args) -> None:
         field = make_number_state(args.number)
         if args.kappa is None:
             raise UsageError("number-state fields need an explicit --kappa")
-        pulse = PulseSpec.from_kappa(args.kappa)
     else:
-        n_mean = _positive(args.n, "--n")
-        field = make_coherent(n_mean, phase=args.phi, tail_tol=args.tail_tol)
-        if args.kappa is not None:
-            pulse = PulseSpec.from_kappa(args.kappa, n_mean)
-        else:
-            pulse = resolve_pulse("explicit", n_mean, vartheta=args.vartheta)
+        field = make_coherent(_positive(args.n, "--n"), phase=args.phi, tail_tol=args.tail_tol)
+    n_mean = field.mean_photon_number
+    if args.kappa is not None:
+        pulse = PulseSpec.from_kappa(args.kappa, n_mean)
+    else:
+        pulse = PulseSpec.from_vartheta(args.vartheta, n_mean)
 
     kraus = build_kraus(field, pulse)
     rows = kraus.to_json_rows()
     residual = kraus.completeness_residual()
     if args.format == "json":
         _emit(args, [], rows,
-              {"kappa": kraus.pulse.kappa_for(field), "tail_tol": args.tail_tol},
+              {"kappa": pulse.kappa, "tail_tol": args.tail_tol},
               extra={"field": field.to_json_dict(),
                      "completeness_residual": residual})
     else:
         columns = ["n"] + [f"M{i}{j}_{p}" for i in "01" for j in "01" for p in ("re", "im")]
         flat = [dict(zip(columns, [row["n"], *(x for pair in row["M"] for x in pair)]))
                 for row in rows]
-        _emit(args, columns, flat,
-              {"kappa": kraus.pulse.kappa_for(field), "tail_tol": args.tail_tol})
+        _emit(args, columns, flat, {"kappa": pulse.kappa, "tail_tol": args.tail_tol})
         print(f"# completeness_residual={_fmt(residual)}", file=sys.stderr)
 
 
 def _pi_units(text: str) -> float:
-    value = float(text)
+    value = float(text) * math.pi
     if not math.isfinite(value):
         raise ValueError(f"angle must be finite, got {text}")
-    return value * math.pi
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", choices=sorted(START_ANGLES), default="ground")
     p.add_argument("--n", type=float, default=1e4,
                    help="photon budget per pulse")
-    p.add_argument("--mode", choices=PULSE_MODES, default="bias-free")
+    # A sequence takes no --vartheta, so "explicit" has nothing to resolve.
+    p.add_argument("--mode", choices=[m for m in PULSE_MODES if m != "explicit"],
+                   default="bias-free")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("landscape", parents=[common],

@@ -109,28 +109,25 @@ def optimal_vartheta(n_mean: float) -> OptimalAngles:
 
 def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
                   start_angle: float | None = None,
-                  vartheta: float | None = None,
-                  kappa: float | None = None) -> PulseSpec:
-    """Turn a pulse-area mode into a concrete PulseSpec for one control.
+                  vartheta: float | None = None) -> PulseSpec:
+    """Turn a pulse-area mode into the PulseSpec of one control against N.
 
-    ``base`` is the nominal half pulse area (the intended rotation angle).
-    The optimal-fidelity and bias-free corrections are defined for the
-    half-rotation family (base pi/4); for any other base they fall back to
-    the nominal value.  The bare "optimal-fidelity"/"bias-free" modes pick
+    ``base`` is the nominal half pulse area (the intended rotation angle);
+    "explicit" mode takes ``vartheta`` instead.  The optimal-fidelity and
+    bias-free corrections are defined for the half-rotation family (base
+    pi/4); for any other base they fall back to the nominal value.  The bare "optimal-fidelity"/"bias-free" modes pick
     the plus branch when the control starts nearer the excited pole and
     the minus branch otherwise.
     """
     if mode not in PULSE_MODES:
         raise ValueError(f"unknown pulse mode {mode!r}; expected one of {PULSE_MODES}")
     if mode == "explicit":
-        if kappa is not None:
-            return PulseSpec.from_kappa(kappa, n_mean)
         if vartheta is None:
-            raise ValueError("explicit mode requires vartheta or kappa")
-        return PulseSpec.from_vartheta(vartheta, n_mean, mode="explicit")
+            raise ValueError("explicit mode requires vartheta")
+        return PulseSpec.from_vartheta(vartheta, n_mean)
 
     if mode == "quarter-pi" or not math.isclose(base, QUARTER_PI, abs_tol=1e-12):
-        return PulseSpec.from_vartheta(base, n_mean, mode=mode)
+        return PulseSpec.from_vartheta(base, n_mean)
 
     angles = optimal_vartheta(n_mean)
     sign = mode.rsplit("-", 1)[-1]
@@ -141,7 +138,7 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
         value = angles.fidelity_optimal_plus if sign == "plus" else angles.fidelity_optimal_minus
     else:
         value = angles.bias_free_plus if sign == "plus" else angles.bias_free_minus
-    return PulseSpec.from_vartheta(value, n_mean, mode=mode)
+    return PulseSpec.from_vartheta(value, n_mean)
 
 
 def orthogonal_target(target_angle: float) -> np.ndarray:
@@ -194,7 +191,7 @@ def error_report(control: ControlSpec, kraus: KrausSet) -> ErrorReport:
     """
     theta0, theta = control.theta0, control.theta
     n_mean = kraus.field.mean_photon_number
-    vartheta_used = kraus.pulse.vartheta_for(kraus.field)
+    vartheta_used = kraus.pulse.vartheta
 
     start = np.array([math.sin(theta0), math.cos(theta0)])
     exact = min(kraus.weight(orthogonal_target(control.target_angle), start), 1.0)

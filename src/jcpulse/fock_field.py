@@ -191,12 +191,14 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
     eps * N log N, leaves in every log-magnitude.
 
     Raises ValueError for a non-positive or non-finite ``n_mean``, a
-    ``tail_tol`` outside (0, 1), a tail tolerance unattainable within
-    the cap, or a window wider than MAX_LEVELS.
+    non-finite ``phase``, a ``tail_tol`` outside (0, 1), a tail tolerance
+    unattainable within the cap, or a window wider than MAX_LEVELS.
     """
     if not 0 < n_mean < math.inf:
         raise ValueError(
             f"mean photon number must be positive and finite, got {n_mean}")
+    if not math.isfinite(phase):
+        raise ValueError(f"coherent phase must be finite, got {phase}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 

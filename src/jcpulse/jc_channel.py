@@ -66,49 +66,28 @@ class QubitState:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Pulse parametrization: coupling-time product and half pulse area.
+    """One pulse, resolved against a mean photon number N.
 
     ``kappa`` is the dimensionless coupling-time product; ``vartheta`` is
-    the half pulse area kappa*sqrt(N) against a field with mean photon
-    number N.  ``mode`` records how the value was chosen (see
-    error_metrics.resolve_pulse); specs built from explicit numbers carry
-    mode "explicit".  Either number may be left None and derived against
-    a concrete field.
+    the half pulse area kappa*sqrt(N) (N = m for the number state |m>).
     """
 
-    kappa: float | None = None
-    vartheta: float | None = None
-    mode: str = "explicit"
+    kappa: float
+    vartheta: float
 
     @classmethod
-    def from_kappa(cls, kappa: float, n_mean: float | None = None) -> "PulseSpec":
-        vartheta = None if n_mean is None else kappa * math.sqrt(n_mean)
-        return cls(kappa=float(kappa), vartheta=vartheta)
+    def from_kappa(cls, kappa: float, n_mean: float) -> "PulseSpec":
+        return cls(kappa=float(kappa), vartheta=kappa * math.sqrt(n_mean))
 
     @classmethod
-    def from_vartheta(cls, vartheta: float, n_mean: float, mode: str = "explicit") -> "PulseSpec":
+    def from_vartheta(cls, vartheta: float, n_mean: float) -> "PulseSpec":
         if n_mean <= 0:
             raise ValueError("deriving kappa from vartheta needs a positive mean photon number")
-        return cls(kappa=float(vartheta) / math.sqrt(n_mean),
-                   vartheta=float(vartheta), mode=mode)
+        return cls(kappa=float(vartheta) / math.sqrt(n_mean), vartheta=float(vartheta))
 
     def kappa_for(self, field: FieldState) -> float:
-        """Coupling-time product to use against ``field``."""
-        if self.kappa is not None:
-            return self.kappa
-        if self.vartheta is None:
-            raise ValueError(f"pulse spec (mode={self.mode!r}) carries no kappa or vartheta; "
-                             "resolve it against a mean photon number first")
-        n_mean = field.mean_photon_number
-        if n_mean <= 0:
-            raise ValueError("cannot derive kappa from vartheta for a zero-photon field")
-        return self.vartheta / math.sqrt(n_mean)
-
-    def vartheta_for(self, field: FieldState) -> float:
-        """Half pulse area against ``field``."""
-        if self.vartheta is not None:
-            return self.vartheta
-        return self.kappa_for(field) * math.sqrt(field.mean_photon_number)
+        """``kappa`` whatever the field; perfbench's tracer reads the pulse through it."""
+        return self.kappa
 
 
 @dataclass(frozen=True)
@@ -163,11 +142,8 @@ class KrausSet:
         return amp
 
     def weight(self, w, v) -> float:
-        """sum_n |w^T M_n v|^2: the phase e^{i n phi} drops out, and the real
-        and imaginary parts of ``amplitudes`` give two real sums of squares."""
-        amp = self.amplitudes(w, v)
-        parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
-        return sum((float(np.sum(part * part)) for part in parts), 0.0)
+        """sum_n |w^T M_n v|^2: the phase e^{i n phi} drops out."""
+        return sum_of_squares(self.amplitudes(w, v))
 
     @cached_property
     def transfer(self) -> np.ndarray:
@@ -193,7 +169,7 @@ class KrausSet:
     def operators(self) -> np.ndarray:
         """The complex M_n of shape (K, 2, 2), from the stored amplitudes C_n."""
         ops = _entries(self.field.amplitudes(), self.field.n_offset, self.n_start, len(self),
-                       self.pulse.kappa_for(self.field), -1j, -1j)
+                       self.pulse.kappa, -1j, -1j)
         ops = np.ascontiguousarray(ops.transpose(2, 0, 1))
         ops.flags.writeable = False
         return ops
@@ -206,6 +182,12 @@ class KrausSet:
     def to_json_rows(self) -> list[dict]:
         return [{"n": int(n), "M": [[float(z.real), float(z.imag)] for z in op.ravel()]}
                 for n, op in zip(self.indices(), self.operators)]
+
+
+def sum_of_squares(amp: np.ndarray) -> float:
+    """sum_n |amp_n|^2, as one real sum of squares per part of ``amp``."""
+    parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
+    return sum((float(np.sum(part * part)) for part in parts), 0.0)
 
 
 def _entries(coeffs: np.ndarray, lo: int, start: int, count: int, kappa: float,
@@ -247,7 +229,7 @@ def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
     just outside the window and are exactly what trace preservation needs
     for number states.
     """
-    kappa = pulse.kappa_for(field)
+    kappa = pulse.kappa
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
 

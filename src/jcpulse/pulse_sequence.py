@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import KrausSet, QubitState, build_kraus
+from .jc_channel import KrausSet, QubitState, build_kraus, sum_of_squares
 from .error_metrics import (
     ControlSpec,
     error_rate_exact,
@@ -61,45 +61,35 @@ class SequenceComparison(NamedTuple):
     single_2N: float
 
 
-def _infer_start_angle(rho0: QubitState) -> float:
-    """Altitude of a real-plane state: cos 2a and sin 2a from the matrix."""
-    m = rho0.rho
-    return 0.5 * math.atan2(2.0 * m[0, 1].real, float(m[1, 1].real - m[0, 0].real))
-
-
 def _output_in_basis(kraus: KrausSet, lam, vecs, basis: np.ndarray) -> np.ndarray:
     """B (sum_n M_n rho M_n^dag) B^T for rho = sum_k lam_k v_k v_k^dag.
 
     ``basis`` holds the real orthonormal rows B; ``vecs`` holds the v_k
-    as columns.  The diagonal entries are weights (sums of squares) and the
-    off-diagonal one sums the per-level products of the two amplitudes.
+    as columns.  Each branch's amplitudes on the two rows are computed
+    once: the diagonal entries are their sums of squares and the
+    off-diagonal one sums their per-level products.
     """
     out = np.zeros((2, 2), dtype=complex)
     for p, v in zip(lam, vecs.T):
-        out[0, 0] += p * kraus.weight(basis[0], v)
-        out[1, 1] += p * kraus.weight(basis[1], v)
-        out[0, 1] += p * np.sum(kraus.amplitudes(basis[0], v)
-                                * kraus.amplitudes(basis[1], v).conj())
+        amp0, amp1 = kraus.amplitudes(basis[0], v), kraus.amplitudes(basis[1], v)
+        out[0, 0] += p * sum_of_squares(amp0)
+        out[1, 1] += p * sum_of_squares(amp1)
+        out[0, 1] += p * np.sum(amp0 * amp1.conj())
     out[1, 0] = out[0, 1].conjugate()
     return out
 
 
-def run_sequence(rho0: QubitState, steps: Sequence[float], field: FieldState,
-                 mode: str = "bias-free", theta0: float | None = None) -> SequenceReport:
-    """Rotate ``rho0`` by each angle in ``steps``; report exact and estimated errors.
+def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
+                 mode: str = "bias-free") -> SequenceReport:
+    """Rotate R(theta0)|0> by each angle in ``steps``; report exact and estimated errors.
 
     Each step resolves its pulse by ``mode`` and acts with a fresh copy of
-    ``field``.  ``theta0`` anchors the running classical target
-    R(theta0 + sum theta_i)|0>; when omitted it is inferred from ``rho0``
-    (meaningful for states in the real plane of the Bloch sphere).  The
-    run is deterministic: repeating it gives bitwise-identical reports.
+    ``field``; its classical target is R(theta0 + sum theta_i)|0>.  The run
+    is deterministic: repeating it gives bitwise-identical reports.
     """
-    if theta0 is None:
-        theta0 = _infer_start_angle(rho0)
-
     n_mean = field.mean_photon_number
-    final_state = rho0
-    lam, vecs = np.linalg.eigh(rho0.rho)
+    final_state = QubitState.pure(theta0)
+    lam, vecs = (1.0,), np.array([[math.sin(theta0)], [math.cos(theta0)]])
     angle = theta0
     kraus = None
     mixture = 0.0
@@ -153,8 +143,7 @@ def split_flip(theta0: float, n_mean: float, mode: str = "bias-free",
     The half rotations and the N flip share one field; the 2N flip builds its own.
     """
     field = make_coherent(n_mean, tail_tol=tail_tol)
-    report = run_sequence(QubitState.pure(theta0), [math.pi / 4] * 2, field,
-                          mode=mode, theta0=theta0)
+    report = run_sequence(theta0, [math.pi / 4] * 2, field, mode=mode)
 
     control = ControlSpec(theta0, math.pi / 2)
     singles = []

@@ -25,7 +25,7 @@ def p_plus(field: FieldState, pulse: PulseSpec) -> float:
     P+ = 1/2 - sum_n |C_n|^2 sqrt(n/N) sin(k sqrt(n)) cos(k sqrt(n+1)).
     """
     _require_coherent(field, "p_plus")
-    kappa = pulse.kappa_for(field)
+    kappa = pulse.kappa
     n_mean = field.mean_photon_number
     n = field.photon_numbers().astype(float)
     p = field.probabilities()
@@ -39,7 +39,7 @@ def p_minus(field: FieldState, pulse: PulseSpec) -> float:
     P- = 1/2 - sum_{n>=1} |C_n|^2 sqrt(n/N) sin(k sqrt(n)) cos(k sqrt(n-1)).
     """
     _require_coherent(field, "p_minus")
-    kappa = pulse.kappa_for(field)
+    kappa = pulse.kappa
     n_mean = field.mean_photon_number
     n = field.photon_numbers().astype(float)
     p = field.probabilities()
@@ -57,7 +57,7 @@ def diagonal_deviation(field: FieldState, pulse: PulseSpec, sign: int) -> float:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _require_coherent(field, "diagonal_deviation")
-    kappa = pulse.kappa_for(field)
+    kappa = pulse.kappa
     shift = 1.0 if sign == 1 else 0.0
     n = field.photon_numbers().astype(float)
     p = field.probabilities()
@@ -72,7 +72,7 @@ def pi_pulse_error(theta0: float, field: FieldState, pulse: PulseSpec) -> float:
     -pi/4, which prepares the same density matrix.
     """
     _require_coherent(field, "pi_pulse_error")
-    kappa = pulse.kappa_for(field)
+    kappa = pulse.kappa
     n_mean = field.mean_photon_number
     n = field.photon_numbers().astype(float)
     p = field.probabilities()

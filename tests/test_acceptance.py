@@ -56,7 +56,7 @@ def test_c01_kraus_completeness():
 def test_c02_number_state_fully_mixes_ground():
     m = 16
     kraus = build_kraus(make_number_state(m),
-                        PulseSpec.from_kappa(PI / (4 * math.sqrt(m))))
+                        PulseSpec.from_kappa(PI / (4 * math.sqrt(m)), m))
     out = apply_channel(QubitState.ground(), kraus).rho
     dev = max(abs(out[0, 0] - 0.5), abs(out[1, 1] - 0.5),
               abs(out[0, 1]), abs(out[1, 0]))
@@ -154,9 +154,8 @@ def test_c10_sequence_accumulation():
     n_mean = 1e4
 
     def two_step(start):
-        return run_sequence(QubitState.pure(start), [QUARTER_PI] * 2,
-                            make_coherent(n_mean, tail_tol=TAIL_TOL),
-                            theta0=start).cumulative_exact
+        return run_sequence(start, [QUARTER_PI] * 2,
+                            make_coherent(n_mean, tail_tol=TAIL_TOL)).cumulative_exact
 
     checks = [
         ("ground", two_step(0.0), (PI ** 2 + 4) / 32, 0.05),

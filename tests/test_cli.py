@@ -119,6 +119,7 @@ class TestSweep:
         ("table2", "--n", "inf"),
         ("landscape", "--n", "inf"),
         ("sequence", "--n", "inf"),
+        ("sequence", "--mode", "explicit"),
     ])
     def test_invalid_config_exits_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -318,6 +319,7 @@ class TestKrausDump:
         ("kraus-dump", "--n", "10"),
         ("kraus-dump", "--number", "2", "--vartheta", "0.25"),
         ("kraus-dump", "--n", "inf", "--kappa", "0.1"),
+        ("kraus-dump", "--n", "100", "--kappa", "0.1", "--phi", "1e308"),
     ])
     def test_invalid_combinations(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -23,8 +23,8 @@ class TestCoherentConstruction:
         probs = field.probabilities()
         assert field.n_offset == 0
         # Poisson(1) pmf: |C_0|^2 = |C_1|^2 = 1/e
-        assert probs[0] == pytest.approx(math.exp(-1), rel=1e-12)
-        assert probs[1] == pytest.approx(math.exp(-1), rel=1e-12)
+        assert probs[0] == pytest.approx(math.exp(-1), rel=1e-12, abs=0)
+        assert probs[1] == pytest.approx(math.exp(-1), rel=1e-12, abs=0)
 
     def test_phase_law(self):
         # arg(C_n) = n*phi mod 2pi; C_3 at phi = pi/2 points along 3pi/2.
@@ -84,6 +84,12 @@ class TestCoherentConstruction:
     def test_rejects_nonpositive_mean(self, bad):
         with pytest.raises(ValueError):
             make_coherent(bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_phase(self, bad):
+        # inf % 2 pi is nan: the phase must be checked before it is stored.
+        with pytest.raises(ValueError, match="phase must be finite"):
+            make_coherent(10.0, phase=bad)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0, -1e-3])
     def test_rejects_bad_tail_tol(self, bad):
@@ -159,13 +165,13 @@ class TestCentralMoments:
     def test_recursive_known_values(self):
         mu = central_moments_recursive(10.0, 6)
         assert mu[0] == 1.0 and mu[1] == 0.0
-        assert mu[2] == pytest.approx(0.1, rel=1e-15)
-        assert mu[3] == pytest.approx(0.01, rel=1e-15)
+        assert mu[2] == pytest.approx(0.1, rel=1e-15, abs=0)
+        assert mu[3] == pytest.approx(0.01, rel=1e-15, abs=0)
         # one more unrolling: mu_4 = 3/N^2 + 1/N^3
-        assert mu[4] == pytest.approx(3e-2 + 1e-3, rel=1e-14)
+        assert mu[4] == pytest.approx(3e-2 + 1e-3, rel=1e-14, abs=0)
         # mu_5 = 10/N^3 + 1/N^4, mu_6 = 15/N^3 + 25/N^4 + 1/N^5
-        assert mu[5] == pytest.approx(1e-2 + 1e-4, rel=1e-14)
-        assert mu[6] == pytest.approx(1.5e-2 + 2.5e-3 + 1e-5, rel=1e-14)
+        assert mu[5] == pytest.approx(1e-2 + 1e-4, rel=1e-14, abs=0)
+        assert mu[6] == pytest.approx(1.5e-2 + 2.5e-3 + 1e-5, rel=1e-14, abs=0)
         # at N = 1 the moments are the no-singleton partition counts D_k
         mu1 = central_moments_recursive(1.0, 6)
         assert (mu1[4], mu1[5], mu1[6]) == (4.0, 11.0, 41.0)

@@ -43,7 +43,7 @@ class TestQubitState:
 class TestKrausStructure:
     def test_vacuum_field_operators(self):
         kappa = 0.7
-        kraus = build_kraus(make_number_state(0), PulseSpec.from_kappa(kappa))
+        kraus = build_kraus(make_number_state(0), PulseSpec.from_kappa(kappa, 0))
         assert list(kraus.indices()) == [0, 1]
         assert np.allclose(operator(kraus, 0), np.diag([math.cos(kappa), 1.0]))
         expected_m1 = np.zeros((2, 2), complex)
@@ -86,18 +86,19 @@ class TestKrausStructure:
             assert np.max(np.abs(out.rho - rho.rho)) <= 1e-12
 
     def test_vacuum_field_needs_explicit_kappa(self):
-        # A half-pulse-area spec cannot be converted to kappa at N = 0.
+        # A half pulse area cannot be converted to kappa at N = 0, and a
+        # spec cannot be built without its kappa.
         with pytest.raises(ValueError):
-            build_kraus(make_number_state(0), PulseSpec(vartheta=0.5))
-        with pytest.raises(ValueError):
-            build_kraus(make_number_state(3), PulseSpec(mode="bias-free"))
+            PulseSpec.from_vartheta(0.5, make_number_state(0).mean_photon_number)
+        with pytest.raises(TypeError):
+            PulseSpec(vartheta=0.5)
 
 
 class TestChannelFixtures:
     def test_number_state_half_rotation_fully_mixes_ground(self):
         # kappa sqrt(m) = pi/4 turns |0><0| into exactly I/2.
         m = 16
-        kraus = build_kraus(make_number_state(m), PulseSpec.from_kappa(math.pi / (4 * math.sqrt(m))))
+        kraus = build_kraus(make_number_state(m), PulseSpec.from_kappa(math.pi / (4 * math.sqrt(m)), m))
         out = apply_channel(QubitState.ground(), kraus)
         assert abs(out.rho[0, 0] - 0.5) <= 1e-12
         assert abs(out.rho[1, 1] - 0.5) <= 1e-12
@@ -237,7 +238,7 @@ class TestPhaseFactoring:
     @settings(max_examples=60, deadline=None)
     def test_error_report_matches_operator_sandwich(self, field, vartheta, theta0, theta):
         kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
-        kraus = build_kraus(field, PulseSpec.from_kappa(kappa))
+        kraus = build_kraus(field, PulseSpec.from_kappa(kappa, field.mean_photon_number))
         report = error_report(ControlSpec(theta0, theta), kraus)
 
         start = np.array([math.sin(theta0), math.cos(theta0)])
@@ -251,7 +252,7 @@ class TestPhaseFactoring:
     @settings(max_examples=60, deadline=None)
     def test_apply_channel_matches_operator_sandwich(self, field, vartheta, seed):
         kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
-        kraus = build_kraus(field, PulseSpec.from_kappa(kappa))
+        kraus = build_kraus(field, PulseSpec.from_kappa(kappa, field.mean_photon_number))
         rho = random_density(np.random.default_rng(seed))
         out = apply_channel(rho, kraus).rho
         assert np.max(np.abs(out - operator_sandwich(kraus, rho.rho))) <= 1e-14
@@ -263,7 +264,7 @@ class TestPhaseFactoring:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_apply_channel_matches_fsum_sandwich(self, field, vartheta, seed):
         kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
-        kraus = build_kraus(field, PulseSpec.from_kappa(kappa))
+        kraus = build_kraus(field, PulseSpec.from_kappa(kappa, field.mean_photon_number))
         rho = random_density(np.random.default_rng(seed))
         out = apply_channel(rho, kraus).rho
         assert np.max(np.abs(out - fsum_sandwich(kraus, rho.rho))) <= 1e-15
@@ -282,7 +283,7 @@ def test_evaluations_build_no_phase_and_no_complex_operators(monkeypatch):
     field = make_coherent(1e4, phase=0.3)
     built.append(build_kraus(field, PulseSpec.from_vartheta(QUARTER_PI, 1e4)))
     error_report(ControlSpec(0.2, QUARTER_PI), built[0])
-    run_sequence(QubitState.pure(0.2), [QUARTER_PI] * 2, field, theta0=0.2)
+    run_sequence(0.2, [QUARTER_PI] * 2, field)
     assert len(built) >= 2
     assert "phase" not in field.__dict__
     assert all("operators" not in kraus.__dict__ for kraus in built)

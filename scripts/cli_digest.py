@@ -74,6 +74,7 @@ INVALID_COMMANDS = (
     ("sweep", "--n-max", "inf"),
     ("sweep", "--n-max", "1e20", "--points", "2"),
     ("sweep", "--n-max", "1e20"),
+    ("sweep", "--vartheta-mode", "explicit", "--vartheta", "1e300", "--points", "2"),
     ("table2", "--n", "inf"),
     ("table2", "--n", "50"),
     ("table2", "--n", "1e20"),
@@ -96,6 +97,8 @@ INVALID_COMMANDS = (
     ("kraus-dump", "--n", "inf", "--kappa", "0.1"),
     ("kraus-dump", "--n", "1e20", "--kappa", "1e-10"),
     ("kraus-dump", "--n", "100", "--kappa", "0.1", "--phi", "1e308"),
+    ("kraus-dump", "--n", "100", "--kappa", "1e308"),
+    ("kraus-dump", "--number", "4", "--kappa", "1e308"),
 )
 
 _NAN = re.compile(r"\bnan\b", re.IGNORECASE)

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .fock_field import (
     DEFAULT_TAIL_TOL,
     FieldState,
-    MomentVector,
     central_moments_direct,
     central_moments_recursive,
     make_coherent,
@@ -44,7 +43,6 @@ from .pulse_sequence import (
     SequenceReport,
     compare_sequence_vs_single,
     run_sequence,
-    split_flip,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "ErrorReport",
     "FieldState",
     "KrausSet",
-    "MomentVector",
     "OptimalAngles",
     "PulseSpec",
     "QubitState",
@@ -78,6 +75,5 @@ __all__ = [
     "ozawa_bound",
     "resolve_pulse",
     "run_sequence",
-    "split_flip",
     "__version__",
 ]

@@ -2,7 +2,8 @@
 
 All angles on the command line are given in units of pi (0.25 means
 pi/4).  Output is deterministic: fixed row order, floats printed with 12
-significant digits, no randomness anywhere (--seed is accepted for
+significant digits (the operator entries of ``kraus-dump --format json``
+rows carry full precision), no randomness anywhere (--seed is accepted for
 interface stability only).
 """
 
@@ -29,10 +30,7 @@ from .fock_field import (
 from .jc_channel import PulseSpec, build_kraus
 from .error_metrics import (PULSE_MODES, ControlSpec, error_report, landscape_asymptote,
                             resolve_pulse)
-from .pulse_sequence import split_flip
-
-SWEEP_COLUMNS = ["N", "P_exact", "P_asymptotic", "gea_banacloche",
-                 "ozawa_bound", "delta", "vartheta_used"]
+from .pulse_sequence import compare_sequence_vs_single
 
 START_ANGLES = {
     "ground": 0.0,
@@ -40,10 +38,6 @@ START_ANGLES = {
     "plus": math.pi / 4,
     "threequarter": 3 * math.pi / 4,
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(value):
@@ -58,8 +52,11 @@ def _json_value(value):
     return value
 
 
-def _emit(args, columns, rows, meta_params, extra=None) -> None:
-    """Write rows as CSV (default) or JSON to stdout or --out."""
+def _emit(args, rows, meta_params, extra=None) -> None:
+    """Write rows as CSV (default) or JSON to stdout or --out.
+
+    The first row's keys give the CSV header and the JSON key order.
+    """
     if args.format == "json":
         payload = {
             "meta": {
@@ -75,9 +72,9 @@ def _emit(args, columns, rows, meta_params, extra=None) -> None:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([_fmt(v) for v in row.values()])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -96,7 +93,7 @@ def _json_value_tree(value):
 
 def _positive(value: float, name: str) -> float:
     if not 0 < value < math.inf:
-        raise UsageError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -104,11 +101,11 @@ def cmd_sweep(args) -> None:
     n_min = _positive(args.n_min, "--n-min")
     n_max = _positive(args.n_max, "--n-max")
     if n_min > n_max:
-        raise UsageError(f"--n-min {n_min} exceeds --n-max {n_max}")
+        raise ValueError(f"--n-min {n_min} exceeds --n-max {n_max}")
     if args.points < 2:
-        raise UsageError(f"--points must be >= 2, got {args.points}")
+        raise ValueError(f"--points must be >= 2, got {args.points}")
     if args.vartheta_mode == "explicit" and args.vartheta is None:
-        raise UsageError("--vartheta-mode explicit requires --vartheta")
+        raise ValueError("--vartheta-mode explicit requires --vartheta")
     coherent_window(n_max)  # the grid's widest window; raises before any field is built
 
     if args.spacing == "log":
@@ -132,7 +129,7 @@ def cmd_sweep(args) -> None:
             "delta": report.delta,
             "vartheta_used": report.vartheta_used,
         })
-    _emit(args, SWEEP_COLUMNS, rows, {
+    _emit(args, rows, {
         "theta0": args.theta0 / math.pi, "theta": args.theta / math.pi,
         "n_min": n_min, "n_max": n_max, "points": args.points,
         "spacing": args.spacing, "vartheta_mode": args.vartheta_mode,
@@ -143,7 +140,7 @@ def cmd_sweep(args) -> None:
 def cmd_table2(args) -> None:
     n_mean = _positive(args.n, "--n")
     if n_mean < 100:
-        raise UsageError(f"--n must be >= 100 for the coefficient table, got {n_mean}")
+        raise ValueError(f"--n must be >= 100 for the coefficient table, got {n_mean}")
     field = make_coherent(n_mean, tail_tol=args.tail_tol)
     rows = []
     for theta in (math.pi / 4, math.pi / 2):
@@ -159,15 +156,13 @@ def cmd_table2(args) -> None:
                 "paper_coefficient": coeff,
                 "relative_deviation": abs(scaled - coeff) / coeff,
             })
-    _emit(args, ["theta0", "theta", "N_times_P_exact", "paper_coefficient",
-                 "relative_deviation"], rows,
-          {"N": n_mean, "tail_tol": args.tail_tol})
+    _emit(args, rows, {"N": n_mean, "tail_tol": args.tail_tol})
 
 
 def cmd_sequence(args) -> None:
     n_mean = _positive(args.n, "--n")
-    report, comparison = split_flip(START_ANGLES[args.start], n_mean,
-                                    mode=args.mode, tail_tol=args.tail_tol)
+    report, comparison = compare_sequence_vs_single(START_ANGLES[args.start], n_mean,
+                                                    mode=args.mode, tail_tol=args.tail_tol)
     rows = []
     for i in range(len(report.per_step_error)):
         rows.append({
@@ -179,18 +174,16 @@ def cmd_sequence(args) -> None:
             "single_N": comparison.single_N,
             "single_2N": comparison.single_2N,
         })
-    _emit(args, ["step", "target_angle", "P_exact", "P_mixture", "P_asymptote",
-                 "single_N", "single_2N"], rows,
-          {"start": args.start, "N": n_mean, "mode": args.mode,
-           "tail_tol": args.tail_tol})
+    _emit(args, rows, {"start": args.start, "N": n_mean, "mode": args.mode,
+                       "tail_tol": args.tail_tol})
 
 
 def cmd_landscape(args) -> None:
     n_mean = _positive(args.n, "--n")
     if not 0.0 <= args.theta <= math.pi:
-        raise UsageError(f"--theta must lie in [0, 1] (units of pi), got {args.theta / math.pi}")
+        raise ValueError(f"--theta must lie in [0, 1] (units of pi), got {args.theta / math.pi}")
     if args.grid < 2:
-        raise UsageError(f"--grid must be >= 2, got {args.grid}")
+        raise ValueError(f"--grid must be >= 2, got {args.grid}")
 
     kraus = build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol),
                         resolve_pulse("quarter-pi", n_mean, base=args.theta))
@@ -206,7 +199,7 @@ def cmd_landscape(args) -> None:
     argmax_phi = rows[exact.index(max(exact))]["Phi"]
     argmin_phi = rows[exact.index(min(exact))]["Phi"]
     summary = {"argmax_phi": argmax_phi, "argmin_phi": argmin_phi}
-    _emit(args, ["Phi", "N_times_P_exact", "N_times_asymptote"], rows,
+    _emit(args, rows,
           {"theta": args.theta / math.pi, "N": n_mean, "grid": args.grid,
            "tail_tol": args.tail_tol},
           extra={"summary": summary} if args.format == "json" else None)
@@ -219,10 +212,10 @@ def cmd_landscape(args) -> None:
 def cmd_moments(args) -> None:
     n_mean = _positive(args.n, "--n")
     if args.k < 0:
-        raise UsageError(f"--k must be >= 0, got {args.k}")
+        raise ValueError(f"--k must be >= 0, got {args.k}")
     bound = 1.0 / n_mean
     if not math.isfinite(bound):
-        raise UsageError(f"--n {n_mean} is too small: 1/N overflows")
+        raise ValueError(f"--n {n_mean} is too small: 1/N overflows")
     field = make_coherent(n_mean, tail_tol=args.tail_tol)
     direct = central_moments_direct(field, args.k)
     recursive = central_moments_recursive(n_mean, args.k)
@@ -234,22 +227,21 @@ def cmd_moments(args) -> None:
             "mu_recursive": recursive[k],
             "bound_1_over_N": bound,
         })
-    _emit(args, ["k", "mu_direct", "mu_recursive", "bound_1_over_N"], rows,
-          {"N": n_mean, "K": args.k, "tail_tol": args.tail_tol})
+    _emit(args, rows, {"N": n_mean, "K": args.k, "tail_tol": args.tail_tol})
 
 
 def cmd_kraus_dump(args) -> None:
     if (args.number is None) == (args.n is None):
-        raise UsageError("provide exactly one of --n (coherent) or --number (Fock)")
+        raise ValueError("provide exactly one of --n (coherent) or --number (Fock)")
     if args.kappa is None and args.vartheta is None:
-        raise UsageError("provide --kappa or --vartheta")
+        raise ValueError("provide --kappa or --vartheta")
 
     if args.number is not None:
         if args.number < 0:
-            raise UsageError(f"--number must be >= 0, got {args.number}")
+            raise ValueError(f"--number must be >= 0, got {args.number}")
         field = make_number_state(args.number)
         if args.kappa is None:
-            raise UsageError("number-state fields need an explicit --kappa")
+            raise ValueError("number-state fields need an explicit --kappa")
     else:
         field = make_coherent(_positive(args.n, "--n"), phase=args.phi, tail_tol=args.tail_tol)
     n_mean = field.mean_photon_number
@@ -262,7 +254,7 @@ def cmd_kraus_dump(args) -> None:
     rows = kraus.to_json_rows()
     residual = kraus.completeness_residual()
     if args.format == "json":
-        _emit(args, [], rows,
+        _emit(args, rows,
               {"kappa": pulse.kappa, "tail_tol": args.tail_tol},
               extra={"field": field.to_json_dict(),
                      "completeness_residual": residual})
@@ -270,7 +262,7 @@ def cmd_kraus_dump(args) -> None:
         columns = ["n"] + [f"M{i}{j}_{p}" for i in "01" for j in "01" for p in ("re", "im")]
         flat = [dict(zip(columns, [row["n"], *(x for pair in row["M"] for x in pair)]))
                 for row in rows]
-        _emit(args, columns, flat, {"kappa": pulse.kappa, "tail_tol": args.tail_tol})
+        _emit(args, flat, {"kappa": pulse.kappa, "tail_tol": args.tail_tol})
         print(f"# completeness_residual={_fmt(residual)}", file=sys.stderr)
 
 
@@ -363,9 +355,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except UsageError as exc:
-        print(f"jcpulse: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"jcpulse: error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ import numpy as np
 
 from .fock_field import FieldState, make_coherent  # noqa: F401  (perfbench looks it up here)
 from .jc_channel import KrausSet, PulseSpec, build_kraus
-from .jc_channel import apply_channel  # noqa: F401  (perfbench wraps it here)
 
 QUARTER_PI = math.pi / 4
 
@@ -157,12 +156,21 @@ def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
     (1 - sin 2t)/2 + (1/16N) {(1 + 4t^2) sin 2t - 2t cos 2t +- 4t (1 - cos 2t)}.
 
     ``sign`` +1 starts from the excited pole, -1 from the ground pole.
+    Raises ValueError if the 1/N term is not a finite float.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     s2, c2 = math.sin(2 * vartheta), math.cos(2 * vartheta)
-    bracket = (1 + 4 * vartheta ** 2) * s2 - 2 * vartheta * c2 + sign * 4 * vartheta * (1 - c2)
-    return 0.5 * (1 - s2) + bracket / (16.0 * n_mean)
+    try:
+        square = vartheta ** 2
+    except OverflowError:  # |vartheta| above about 1e154
+        square = math.inf
+    bracket = (1 + 4 * square) * s2 - 2 * vartheta * c2 + sign * 4 * vartheta * (1 - c2)
+    first_order = bracket / (16.0 * n_mean)
+    if not math.isfinite(first_order):
+        raise ValueError(f"the 1/N term at vartheta={vartheta!r}, N={n_mean!r} "
+                         "is not a finite float")
+    return 0.5 * (1 - s2) + first_order
 
 
 def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:

@@ -106,29 +106,6 @@ class FieldState:
         }
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Central moments mu_k of n/N, k = 0..K, for a mean photon number N.
-
-    For a Poisson photon distribution mu_0 = 1, mu_1 = 0, mu_2 = 1/N, and
-    every higher moment is of higher order in 1/N; see
-    ``central_moments_recursive`` for the bound that makes this precise.
-    """
-
-    values: np.ndarray
-    mean_photon_number: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        self.values.flags.writeable = False
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.values[k])
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def _poisson_log_pmf(n: np.ndarray, n_mean: float) -> np.ndarray:
     """log(e^-N N^n / n!) on the contiguous window n[0], n[0]+1, ... from
     one ``lgamma`` at n[0] and the term ratios N/n."""
@@ -246,8 +223,8 @@ def make_number_state(m: int) -> FieldState:
     )
 
 
-def central_moments_direct(field: FieldState, k_max: int) -> MomentVector:
-    """Moments mu_k = sum_n |C_n|^2 ((n-N)/N)^k over the retained window.
+def central_moments_direct(field: FieldState, k_max: int) -> np.ndarray:
+    """Moments mu_k = sum_n |C_n|^2 ((n-N)/N)^k over the retained window, k = 0..k_max.
 
     Raises ValueError if some mu_k is not a finite float (at tiny N).
     """
@@ -265,11 +242,10 @@ def central_moments_direct(field: FieldState, k_max: int) -> MomentVector:
         for k in range(k_max + 1):
             values[k] = float(np.dot(p, xk))
             xk = xk * x
-    return MomentVector(values=_finite_moments(values, n_mean),
-                        mean_photon_number=n_mean)
+    return _finite_moments(values, n_mean)
 
 
-def central_moments_recursive(n_mean: float, k_max: int) -> MomentVector:
+def central_moments_recursive(n_mean: float, k_max: int) -> np.ndarray:
     """Moments mu_k from the exact recursion in powers of 1/N.
 
     Seeds mu_0 = 1, mu_1 = 0; for k >= 2,
@@ -303,14 +279,14 @@ def central_moments_recursive(n_mean: float, k_max: int) -> MomentVector:
                 for i in range(1, k)))
         except ArithmeticError:  # N^i underflows to zero at tiny N
             mu.append(math.inf)
-    return MomentVector(values=_finite_moments(np.array(mu[:k_max + 1]), n_mean),
-                        mean_photon_number=float(n_mean))
+    return _finite_moments(np.array(mu[:k_max + 1]), n_mean)
 
 
 def _finite_moments(values: np.ndarray, n_mean: float) -> np.ndarray:
-    """Return ``values``; raise ValueError naming N and k if some mu_k is not finite."""
+    """Return ``values`` read-only; raise ValueError naming N and k if some mu_k is not finite."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"central moment mu_{bad[0]} is not a finite float "
                          f"at N={n_mean!r}")
+    values.flags.writeable = False
     return values

@@ -227,11 +227,13 @@ def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
     The index range is [max(0, window_lo - 1), window_hi + 1]: the two
     extra operators carry the couplings C_{lo} and C_{hi} into the levels
     just outside the window and are exactly what trace preservation needs
-    for number states.
+    for number states.  Raises ValueError if the largest trig argument,
+    kappa sqrt(n_max + 2), is not a finite float.
     """
     kappa = pulse.kappa
-    if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
+    if not math.isfinite(kappa * math.sqrt(field.n_max + 2)):
+        raise ValueError(f"kappa*sqrt(n) must be finite up to n={field.n_max + 2}, "
+                         f"got kappa={kappa}")
 
     start = max(0, field.n_offset - 1)
     rows = _entries(np.exp(field.log_magnitude), field.n_offset, start,

@@ -136,11 +136,13 @@ def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
     )
 
 
-def split_flip(theta0: float, n_mean: float, mode: str = "bias-free",
-               tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[SequenceReport, SequenceComparison]:
-    """Run two half rotations with budget N each once; compare one full flip with N or 2N.
+def compare_sequence_vs_single(theta0: float, n_mean: float, *, mode: str = "bias-free",
+                               tail_tol: float = DEFAULT_TAIL_TOL
+                               ) -> tuple[SequenceReport, SequenceComparison]:
+    """Split a full flip into two pi/4 steps with budget N each; compare one flip with N or 2N.
 
-    The half rotations and the N flip share one field; the 2N flip builds its own.
+    Returns the two-step run's report and the comparison.  The half
+    rotations and the N flip share one field; the 2N flip builds its own.
     """
     field = make_coherent(n_mean, tail_tol=tail_tol)
     report = run_sequence(theta0, [math.pi / 4] * 2, field, mode=mode)
@@ -152,16 +154,3 @@ def split_flip(theta0: float, n_mean: float, mode: str = "bias-free",
                               start_angle=theta0)
         singles.append(error_rate_exact(control, flip_field, pulse))
     return report, SequenceComparison(report.cumulative_exact, *singles)
-
-
-def compare_sequence_vs_single(theta_total: float, theta0: float, n_mean: float,
-                               mode: str = "bias-free",
-                               tail_tol: float = DEFAULT_TAIL_TOL) -> SequenceComparison:
-    """Two half rotations with budget N each vs one full flip with N or 2N.
-
-    Only the split of a full flip (theta_total = pi/2) into two pi/4 steps
-    is implemented; see split_flip.
-    """
-    if not math.isclose(theta_total, math.pi / 2, abs_tol=1e-12):
-        raise ValueError("only theta_total = pi/2 (a full flip) is supported")
-    return split_flip(theta0, n_mean, mode=mode, tail_tol=tail_tol)[1]

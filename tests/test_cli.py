@@ -116,6 +116,7 @@ class TestSweep:
         ("sweep", "--vartheta-mode", "explicit"),
         ("sweep", "--theta0", "nan"),
         ("sweep", "--n-max", "inf"),
+        ("sweep", "--vartheta-mode", "explicit", "--vartheta", "1e300", "--points", "2"),
         ("table2", "--n", "inf"),
         ("landscape", "--n", "inf"),
         ("sequence", "--n", "inf"),
@@ -210,7 +211,7 @@ class TestSequenceCommand:
                                "--mode", mode, "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
-        comparison = compare_sequence_vs_single(PI / 2, START_ANGLES[start], 2000.0, mode=mode)
+        _, comparison = compare_sequence_vs_single(START_ANGLES[start], 2000.0, mode=mode)
         assert rows[1]["P_exact"] == as_printed(comparison.two_step)
         for row in rows:
             assert row["single_N"] == as_printed(comparison.single_N)
@@ -320,6 +321,8 @@ class TestKrausDump:
         ("kraus-dump", "--number", "2", "--vartheta", "0.25"),
         ("kraus-dump", "--n", "inf", "--kappa", "0.1"),
         ("kraus-dump", "--n", "100", "--kappa", "0.1", "--phi", "1e308"),
+        ("kraus-dump", "--n", "100", "--kappa", "1e308"),
+        ("kraus-dump", "--number", "4", "--kappa", "1e308"),
     ])
     def test_invalid_combinations(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -11,7 +11,6 @@ from jcpulse import (
     make_coherent,
     resolve_pulse,
     run_sequence,
-    split_flip,
 )
 from jcpulse import error_metrics, pulse_sequence
 from jcpulse.error_metrics import orthogonal_target
@@ -151,24 +150,24 @@ class TestSequenceInvariants:
 
 class TestSingleVsSplit:
     def test_ground_start_ordering(self):
-        result = compare_sequence_vs_single(PI / 2, 0.0, 1e4)
+        _, result = compare_sequence_vs_single(0.0, 1e4)
         assert result.single_2N < result.two_step < result.single_N
 
     def test_equatorial_start_energy_equivalence(self):
-        result = compare_sequence_vs_single(PI / 2, QUARTER_PI, 1e4)
+        _, result = compare_sequence_vs_single(QUARTER_PI, 1e4)
         assert result.two_step == pytest.approx(result.single_2N, rel=0.10)
 
     def test_large_budget_consistency(self):
-        result = compare_sequence_vs_single(PI / 2, 0.0, 1e5)
+        _, result = compare_sequence_vs_single(0.0, 1e5)
         assert max(result) <= 1e-4
 
-    def test_split_flip_runs_the_two_step_sequence(self):
-        report, comparison = split_flip(QUARTER_PI, 1e3, mode="bias-free")
+    def test_comparison_runs_the_two_step_sequence(self):
+        report, comparison = compare_sequence_vs_single(QUARTER_PI, 1e3, mode="bias-free")
         assert report.per_step_error == two_step(QUARTER_PI, 1e3).per_step_error
-        assert comparison == compare_sequence_vs_single(PI / 2, QUARTER_PI, 1e3)
+        assert comparison == compare_sequence_vs_single(QUARTER_PI, 1e3)[1]
         assert comparison.two_step == report.cumulative_exact
 
-    def test_split_flip_shares_the_budget_n_field(self, monkeypatch):
+    def test_comparison_shares_the_budget_n_field(self, monkeypatch):
         built = {"fields": 0, "kraus": 0}
 
         def counted(name, build):
@@ -182,10 +181,6 @@ class TestSingleVsSplit:
         build_kraus = counted("kraus", pulse_sequence.build_kraus)
         monkeypatch.setattr(pulse_sequence, "build_kraus", build_kraus)
         monkeypatch.setattr(error_metrics, "build_kraus", build_kraus)
-        split_flip(0.0, 1e3)
+        compare_sequence_vs_single(0.0, 1e3)
         assert built["fields"] == 2
         assert built["kraus"] <= 3
-
-    def test_only_full_flip_supported(self):
-        with pytest.raises(ValueError):
-            compare_sequence_vs_single(PI / 3, 0.0, 1e3)

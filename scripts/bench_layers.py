@@ -11,6 +11,9 @@ field of phase pi/2 and the quarter-pi pulse:
 - ``make_coherent``: the field window;
 - ``build_kraus``: the Kraus rows of one pulse;
 - ``error_report``: one control from the ground pole on a built Kraus set;
+- ``stream_report``: the same control with the rows streamed in pieces
+  of ``CHUNK_LEVELS`` levels instead of built (what ``sweep`` runs per
+  point; compare it with ``build_kraus`` plus ``error_report``);
 - ``apply_channel``: the ground state through a freshly built Kraus set,
   so that work a Kraus set builds on its first use is counted;
 - ``run_sequence``: two pi/4 steps from the ground pole on a built field.
@@ -48,6 +51,7 @@ from jcpulse import (  # noqa: E402
     make_coherent,
     resolve_pulse,
     run_sequence,
+    stream_report,
 )
 from jcpulse import cli  # noqa: E402
 
@@ -83,6 +87,7 @@ def layer_times(n_mean: float) -> dict[str, float]:
         "make_coherent": median_ms(lambda _: make_coherent(n_mean)),
         "build_kraus": median_ms(lambda _: build_kraus(field, pulse)),
         "error_report": median_ms(lambda _: error_report(control, kraus)),
+        "stream_report": median_ms(lambda _: stream_report(control, field, pulse)),
         "apply_channel": median_ms(lambda fresh: apply_channel(ground, fresh),
                                    setup=lambda: build_kraus(field, pulse)),
         "run_sequence": median_ms(

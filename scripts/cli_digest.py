@@ -45,6 +45,11 @@ OTHER_COMMANDS = (
     ("sweep", "--spacing", "linear", "--n-min", "10", "--n-max", "1000", "--points", "4"),
     ("sweep", "--theta0", "0.3", "--theta", "0.7", "--n-min", "50", "--n-max", "5e4",
      "--points", "4", "--format", "json"),
+    # Windows across the 2**14-level pieces of a streamed evaluation.
+    ("sweep", "--spacing", "linear", "--n-min", "1e6", "--n-max", "4e6", "--points", "4"),
+    ("sweep", "--n-min", "1e7", "--n-max", "1e8", "--points", "3", "--tail-tol", "1e-16"),
+    ("sweep", "--theta0", "0.3", "--theta", "0.7", "--n-min", "1e6", "--n-max", "1e8",
+     "--points", "3", "--format", "json"),
     ("table2",),
     ("table2", "--n", "100"),
     ("table2", "--n", "1e6", "--format", "json"),

@@ -37,6 +37,7 @@ from .error_metrics import (
     optimal_vartheta,
     ozawa_bound,
     resolve_pulse,
+    stream_report,
 )
 from .pulse_sequence import (
     SequenceComparison,
@@ -75,5 +76,6 @@ __all__ = [
     "ozawa_bound",
     "resolve_pulse",
     "run_sequence",
+    "stream_report",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .fock_field import (
 )
 from .jc_channel import PulseSpec, build_kraus
 from .error_metrics import (PULSE_MODES, ControlSpec, error_report, landscape_asymptote,
-                            resolve_pulse)
+                            resolve_pulse, stream_report)
 from .pulse_sequence import compare_sequence_vs_single
 
 START_ANGLES = {
@@ -118,8 +118,7 @@ def cmd_sweep(args) -> None:
     for n_mean in map(float, grid):
         pulse = resolve_pulse(args.vartheta_mode, n_mean, base=args.theta,
                               start_angle=args.theta0, vartheta=args.vartheta)
-        report = error_report(control, build_kraus(
-            make_coherent(n_mean, tail_tol=args.tail_tol), pulse))
+        report = stream_report(control, make_coherent(n_mean, tail_tol=args.tail_tol), pulse)
         rows.append({
             "N": n_mean,
             "P_exact": report.exact,

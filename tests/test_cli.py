@@ -154,6 +154,16 @@ def test_oversized_sweep_builds_no_field(capsys, monkeypatch):
     assert calls == []
 
 
+def test_sweep_stores_no_kraus_set(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep evaluates each pulse once and streams it")
+
+    monkeypatch.setattr(cli, "build_kraus", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--n-min", "1e4", "--n-max", "1e8", "--points", "3")
+    assert code == 0 and err == ""
+    assert [float(row["N"]) for row in parse_csv(out)] == [1e4, 1e6, 1e8]
+
+
 class TestTable2:
     def test_grid_and_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--n", "10000")

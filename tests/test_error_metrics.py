@@ -1,4 +1,8 @@
+import dataclasses
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +22,9 @@ from jcpulse import (
     optimal_vartheta,
     ozawa_bound,
     resolve_pulse,
+    stream_report,
 )
+from jcpulse.jc_channel import CHUNK_LEVELS
 from paper_sums import diagonal_deviation, p_minus, p_plus, pi_pulse_error
 
 PI = math.pi
@@ -376,3 +382,85 @@ class TestErrorReport:
         assert report.n_mean == 1e3
         assert report.vartheta_used == QUARTER_PI
         assert report.ozawa_bound == 1.0 / (16 * (1e3 + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def shared_field(n_mean, phase):
+    return make_coherent(n_mean, phase=phase)
+
+
+def stored_report(control, field, pulse):
+    return error_report(control, build_kraus(field, pulse))
+
+
+STREAM_CONTROLS = ((0.0, QUARTER_PI), (PI / 2, QUARTER_PI), (0.3 * PI, 0.7 * PI))
+STREAM_MODES = ("quarter-pi", "bias-free", "explicit")
+
+
+class TestStreamReport:
+    """stream_report never stores the rows and equals the stored report bit for bit."""
+
+    @pytest.mark.parametrize("phase", [PI / 2, 0.13 * PI], ids=["real-c", "complex-c"])
+    @pytest.mark.parametrize("n_mean", [1.0, 10.0, 1e2, 1e4, 1e6, 1e7, 1e8])
+    def test_equals_the_stored_report(self, n_mean, phase):
+        field = shared_field(n_mean, phase)
+        for (theta0, theta), mode in itertools.product(STREAM_CONTROLS, STREAM_MODES):
+            control = ControlSpec(theta0, theta)
+            pulse = resolve_pulse(mode, n_mean, base=theta, start_angle=theta0,
+                                  vartheta=0.2 * PI)
+            assert stream_report(control, field, pulse) == stored_report(control, field, pulse)
+
+    @pytest.mark.parametrize("levels", [CHUNK_LEVELS - 1, CHUNK_LEVELS, CHUNK_LEVELS + 1])
+    def test_equals_the_stored_report_at_a_piece_edge(self, levels):
+        # A Kraus set spans its window plus one level on each side.
+        wide = shared_field(2e6, 0.13 * PI)
+        cut = (wide.size - levels + 2) // 2
+        field = dataclasses.replace(wide, n_offset=wide.n_offset + cut,
+                                    log_magnitude=wide.log_magnitude[cut:cut + levels - 2])
+        for theta0, theta in STREAM_CONTROLS:
+            control = ControlSpec(theta0, theta)
+            pulse = resolve_pulse("bias-free", 2e6, base=theta, start_angle=theta0)
+            assert len(build_kraus(field, pulse)) == levels
+            assert stream_report(control, field, pulse) == stored_report(control, field, pulse)
+
+    @pytest.mark.parametrize("number", [0, 5])
+    def test_equals_the_stored_report_for_number_states(self, number):
+        field = make_number_state(number)
+        pulse = PulseSpec.from_kappa(0.3, number)
+        for theta0, theta in STREAM_CONTROLS:
+            control = ControlSpec(theta0, theta)
+            assert stream_report(control, field, pulse) == stored_report(control, field, pulse)
+
+    def test_error_rate_exact_is_the_streamed_report(self):
+        field = shared_field(1e7, PI / 2)
+        pulse = resolve_pulse("quarter-pi", 1e7)
+        control = ControlSpec(PI / 2, QUARTER_PI)
+        assert error_rate_exact(control, field, pulse) == stored_report(control, field, pulse).exact
+
+    @pytest.mark.parametrize("phase", [PI / 2, 0.13 * PI], ids=["real-c", "complex-c"])
+    def test_memory_beyond_the_field_is_one_piece(self, phase):
+        field = shared_field(1e8, phase)
+        pulse = resolve_pulse("quarter-pi", 1e8)
+        control = ControlSpec(0.0, QUARTER_PI)
+        peaks = []
+        for evaluate in (stream_report, stored_report):
+            tracemalloc.start()
+            try:
+                evaluate(control, field, pulse)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2 * 2 ** 20
+        assert peaks[1] > 5 * 2 ** 20  # the stored rows alone take 5 MB
+
+    @pytest.mark.parametrize("vartheta,message", [
+        (1e308, r"kappa\*sqrt\(n\) must be finite"),
+        (1e300, "1/N term"),
+    ])
+    def test_raises_as_the_stored_path(self, vartheta, message):
+        field = shared_field(10.0, PI / 2)
+        pulse = resolve_pulse("explicit", 10.0, vartheta=vartheta)
+        control = ControlSpec(0.0, QUARTER_PI)
+        for evaluate in (stream_report, stored_report):
+            with pytest.raises(ValueError, match=message):
+                evaluate(control, field, pulse)

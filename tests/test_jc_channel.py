@@ -18,6 +18,7 @@ from jcpulse import (
     make_number_state,
 )
 from jcpulse import pulse_sequence, run_sequence
+from jcpulse.jc_channel import CHUNK_LEVELS, sum_of_squares
 from qubit_helpers import fsum_sandwich, maximally_mixed, operator, validate
 
 QUARTER_PI = math.pi / 4
@@ -27,6 +28,20 @@ def random_density(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     return QubitState(rho=rho / rho.trace())
+
+
+class TestSumOfSquares:
+    @pytest.mark.parametrize("size", [0, 1, 7, 1000, CHUNK_LEVELS - 1, CHUNK_LEVELS])
+    def test_one_piece_is_np_sum(self, size):
+        rng = np.random.default_rng(size)
+        x, y = rng.standard_normal(size), rng.standard_normal(size)
+        assert sum_of_squares(x) == float(np.sum(x * x))
+        assert sum_of_squares(x + 1j * y) == float(np.sum(x * x)) + float(np.sum(y * y))
+
+    def test_pieces_are_combined_to_within_one_ulp(self):
+        x = np.random.default_rng(0).standard_normal(3 * CHUNK_LEVELS + 5)
+        reference = math.fsum(x * x)
+        assert abs(sum_of_squares(x) - reference) <= math.ulp(reference)
 
 
 class TestQubitState:

@@ -9,11 +9,10 @@ Each layer is timed separately at N = 1e6 and N = 1e8 against a coherent
 field of phase pi/2 and the quarter-pi pulse:
 
 - ``make_coherent``: the field window;
-- ``build_kraus``: the Kraus rows of one pulse;
-- ``error_report``: one control from the ground pole on a built Kraus set;
-- ``stream_report``: the same control with the rows streamed in pieces
-  of ``CHUNK_LEVELS`` levels instead of built (what ``sweep`` runs per
-  point; compare it with ``build_kraus`` plus ``error_report``);
+- ``error_report``: one control from the ground pole, the pass over the
+  pulse's Kraus index included (what ``sweep`` runs per point);
+- ``error_report_table2``: table2's eight controls (four start altitudes,
+  each turned by pi/4 and by pi/2) batched on the one pulse;
 - ``apply_channel``: the ground state through a freshly built Kraus set,
   so that work a Kraus set builds on its first use is counted;
 - ``run_sequence``: two pi/4 steps from the ground pole on a built field.
@@ -51,7 +50,6 @@ from jcpulse import (  # noqa: E402
     make_coherent,
     resolve_pulse,
     run_sequence,
-    stream_report,
 )
 from jcpulse import cli  # noqa: E402
 
@@ -80,14 +78,15 @@ def layer_times(n_mean: float) -> dict[str, float]:
     field = make_coherent(n_mean)
     pulse = resolve_pulse("quarter-pi", n_mean)
     kraus = build_kraus(field, pulse)
-    control = ControlSpec(0.0, math.pi / 4)
+    one_control = (ControlSpec(0.0, math.pi / 4),)
+    table2 = tuple(ControlSpec(theta0, theta) for theta in (math.pi / 4, math.pi / 2)
+                   for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
     ground = QubitState.ground()
     return {
         "levels": len(kraus),
         "make_coherent": median_ms(lambda _: make_coherent(n_mean)),
-        "build_kraus": median_ms(lambda _: build_kraus(field, pulse)),
-        "error_report": median_ms(lambda _: error_report(control, kraus)),
-        "stream_report": median_ms(lambda _: stream_report(control, field, pulse)),
+        "error_report": median_ms(lambda _: error_report(one_control, kraus)),
+        "error_report_table2": median_ms(lambda _: error_report(table2, kraus)),
         "apply_channel": median_ms(lambda fresh: apply_channel(ground, fresh),
                                    setup=lambda: build_kraus(field, pulse)),
         "run_sequence": median_ms(

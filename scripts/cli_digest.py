@@ -80,12 +80,14 @@ INVALID_COMMANDS = (
     ("sweep", "--n-max", "1e20", "--points", "2"),
     ("sweep", "--n-max", "1e20"),
     ("sweep", "--vartheta-mode", "explicit", "--vartheta", "1e300", "--points", "2"),
+    ("sweep", "--points", "1000000000000000"),
     ("table2", "--n", "inf"),
     ("table2", "--n", "50"),
     ("table2", "--n", "1e20"),
     ("landscape", "--n", "inf"),
     ("landscape", "--n", "1e20"),
     ("landscape", "--grid", "1"),
+    ("landscape", "--grid", "1000000000000000"),
     ("sequence", "--n", "inf"),
     ("sequence", "--n", "-4"),
     ("sequence", "--n", "1e20"),
@@ -95,6 +97,7 @@ INVALID_COMMANDS = (
     ("moments", "--n", "1e-300"),
     ("moments", "--n", "1e-60"),
     ("moments", "--n", "1e-320", "--k", "0"),
+    ("moments", "--k", "1000000000000000"),
     ("kraus-dump",),
     ("kraus-dump", "--n", "10", "--number", "3", "--kappa", "0.1"),
     ("kraus-dump", "--n", "10"),

@@ -37,7 +37,6 @@ from .error_metrics import (
     optimal_vartheta,
     ozawa_bound,
     resolve_pulse,
-    stream_report,
 )
 from .pulse_sequence import (
     SequenceComparison,
@@ -76,6 +75,5 @@ __all__ = [
     "ozawa_bound",
     "resolve_pulse",
     "run_sequence",
-    "stream_report",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .fock_field import (
 )
 from .jc_channel import PulseSpec, build_kraus
 from .error_metrics import (PULSE_MODES, ControlSpec, error_report, landscape_asymptote,
-                            resolve_pulse, stream_report)
+                            resolve_pulse)
 from .pulse_sequence import compare_sequence_vs_single
 
 START_ANGLES = {
@@ -118,7 +118,9 @@ def cmd_sweep(args) -> None:
     for n_mean in map(float, grid):
         pulse = resolve_pulse(args.vartheta_mode, n_mean, base=args.theta,
                               start_angle=args.theta0, vartheta=args.vartheta)
-        report = stream_report(control, make_coherent(n_mean, tail_tol=args.tail_tol), pulse)
+        # No name keeps the field, so the next point's is built without this one alive.
+        report, = error_report(
+            (control,), build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol), pulse))
         rows.append({
             "N": n_mean,
             "P_exact": report.exact,
@@ -144,12 +146,13 @@ def cmd_table2(args) -> None:
     rows = []
     for theta in (math.pi / 4, math.pi / 2):
         kraus = build_kraus(field, resolve_pulse("quarter-pi", n_mean, base=theta))
-        for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-            report = error_report(ControlSpec(theta0, theta), kraus)
-            coeff = n_mean * landscape_asymptote(theta0 + theta / 2, theta, n_mean)
+        controls = tuple(ControlSpec(theta0, theta)
+                         for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
+        for control, report in zip(controls, error_report(controls, kraus)):
+            coeff = n_mean * landscape_asymptote(control.midpoint_altitude, theta, n_mean)
             scaled = n_mean * report.exact
             rows.append({
-                "theta0": theta0 / math.pi,
+                "theta0": control.theta0 / math.pi,
                 "theta": theta / math.pi,
                 "N_times_P_exact": scaled,
                 "paper_coefficient": coeff,
@@ -186,9 +189,11 @@ def cmd_landscape(args) -> None:
 
     kraus = build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol),
                         resolve_pulse("quarter-pi", n_mean, base=args.theta))
+    midpoints = [float(m) for m in np.linspace(0.0, math.pi / 2, args.grid)]
+    reports = error_report(tuple(ControlSpec(m - args.theta / 2, args.theta) for m in midpoints),
+                           kraus)
     rows = []
-    for midpoint in map(float, np.linspace(0.0, math.pi / 2, args.grid)):
-        report = error_report(ControlSpec(midpoint - args.theta / 2, args.theta), kraus)
+    for midpoint, report in zip(midpoints, reports):
         rows.append({
             "Phi": midpoint / math.pi,
             "N_times_P_exact": n_mean * report.exact,
@@ -354,8 +359,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except ValueError as exc:
-        print(f"jcpulse: error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"jcpulse: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

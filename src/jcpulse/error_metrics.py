@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_field import FieldState, make_coherent  # noqa: F401  (perfbench looks it up here)
-from .jc_channel import KrausSet, PulseSpec, stream_weights
-from .jc_channel import build_kraus  # noqa: F401  (perfbench counts this binding)
+from .jc_channel import KrausSet, PulseSpec, build_kraus
 
 QUARTER_PI = math.pi / 4
 
@@ -152,8 +151,8 @@ def orthogonal_target(target_angle: float) -> np.ndarray:
 
 
 def error_rate_exact(control: ControlSpec, field: FieldState, pulse: PulseSpec) -> float:
-    """Exact error rate of one control against ``field``, streamed (see stream_report)."""
-    return stream_report(control, field, pulse).exact
+    """Exact error rate of one control against ``field`` (see error_report)."""
+    return error_report((control,), build_kraus(field, pulse))[0].exact
 
 
 def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
@@ -191,42 +190,37 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
     return amp * amp / (4.0 * n_mean)
 
 
-def _weighed_pairs(control: ControlSpec) -> tuple:
-    """(w, v) of the two weights a report needs: the start psi = R(theta0)|0>
-    on perp = R(theta0 + theta)|1>, and psi on |1>."""
+def error_pair(control: ControlSpec) -> tuple:
+    """(w, v) whose weight sum_n |w^T M_n v|^2 is the control's error: the start
+    psi = R(theta0)|0> on perp = R(theta0 + theta)|1>."""
     start = np.array([math.sin(control.theta0), math.cos(control.theta0)])
-    return (orthogonal_target(control.target_angle), start), ((1.0, 0.0), start)
+    return orthogonal_target(control.target_angle), start
 
 
-def error_report(control: ControlSpec, kraus: KrausSet) -> ErrorReport:
-    """Evaluate one control exactly and attach all 1/N reference numbers.
+def error_report(controls: tuple[ControlSpec, ...], kraus: KrausSet) -> tuple[ErrorReport, ...]:
+    """Evaluate each control exactly and attach all 1/N reference numbers.
 
-    P is the weight sum_n |<perp|M_n|psi>|^2 of psi = R(theta0)|0> on
-    perp = R(theta0 + theta)|1> (KrausSet.weight).  ``n_mean`` and
-    ``vartheta_used`` come from ``kraus.field`` and ``kraus.pulse``, so one
-    Kraus set serves every control evaluated against the same pulse.
-
+    All controls share one pass over the pulse's Kraus index
+    (KrausSet.grams).  P is the weight of ``error_pair(control)``, and
     ``delta`` is the deviation of the excited-level population, the weight
-    on |1>, from its target value sin^2(theta0 + theta).  The 1/N
-    references of a zero-photon field are infinite.
+    of psi on |1>, from its target value sin^2(theta0 + theta).  ``n_mean``
+    and ``vartheta_used`` come from ``kraus.field`` and ``kraus.pulse``.
+    The 1/N references of a zero-photon field are infinite.
     """
-    weights = [kraus.weight(w, v) for w, v in _weighed_pairs(control)]
-    return _report(control, kraus.field.mean_photon_number, kraus.pulse.vartheta, weights)
-
-
-def stream_report(control: ControlSpec, field: FieldState, pulse: PulseSpec) -> ErrorReport:
-    """``error_report(control, build_kraus(field, pulse))``, bit for bit, in O(CHUNK_LEVELS)
-    memory beyond the field: the pulse is used once, so its rows are streamed
-    (jc_channel.stream_weights) and never stored."""
-    weights = stream_weights(field, pulse, _weighed_pairs(control))
-    return _report(control, field.mean_photon_number, pulse.vartheta, weights)
+    columns = []
+    for control in controls:
+        perp, psi = error_pair(control)
+        columns += [[kraus.coupling(perp, psi)], [kraus.coupling((1.0, 0.0), psi)]]
+    weights = [float(gram[0, 0].real) for gram in kraus.grams(columns)]
+    n_mean, vartheta_used = kraus.field.mean_photon_number, kraus.pulse.vartheta
+    return tuple(_report(control, n_mean, vartheta_used, error, excited)
+                 for control, error, excited in zip(controls, weights[::2], weights[1::2]))
 
 
 def _report(control: ControlSpec, n_mean: float, vartheta_used: float,
-            weights: list[float]) -> ErrorReport:
-    """The ErrorReport of the two weights of ``_weighed_pairs(control)``."""
+            error: float, excited: float) -> ErrorReport:
+    """The ErrorReport of the control's error weight and its weight on |1>."""
     theta0, theta = control.theta0, control.theta
-    error, excited = weights
     exact = min(error, 1.0)
     delta = abs(excited - math.sin(control.target_angle) ** 2)
     if n_mean == 0:

@@ -17,18 +17,18 @@ Poisson tail to the completeness residual for coherent states.
 With C_n = |C_n| e^{i n phi} (phi = 0 for number states) every operator
 factors as M_n = e^{i n phi} D R_n D^dag with a real R_n (see KrausSet),
 built as four contiguous columns over n from one cos and one sin pass over
-k sqrt(m).  Every error is a weight sum_n |w^T M_n v|^2, projected term by
-term as a sum of squares, so an O(1/N) error is never the difference of
-O(1) sums.  The squares are summed in pieces of CHUNK_LEVELS levels and the
-pieces' sums combined by ``math.fsum``.
+k sqrt(m).
 
-A pulse used once (``stream_weights``) walks the levels in those same
-pieces and keeps only one piece's rows at a time, so its memory beyond the
-field is O(CHUNK_LEVELS).  A pulse used many times is stored as a KrausSet;
-its weights sum the same pieces and agree with the streamed ones bit for
-bit.  The channel goes through the real 4x4 transfer matrix
-sum_n R_n (x) R_n, contracted over n once per Kraus set.  The complex M_n
-are built on demand, for the dump and the completeness check only.
+There is one evaluation path, ``KrausSet.grams``.  It walks the Kraus index
+in pieces of CHUNK_LEVELS levels, keeps one piece's rows at a time (so its
+memory beyond the field is O(CHUNK_LEVELS)), and reduces each group of
+amplitude columns w^T M_n v to their Gram matrix sum_n a_i conj(a_j).  An
+error is a diagonal entry, the weight sum_n |w^T M_n v|^2, projected term by
+term as a sum of squares, so an O(1/N) error is never the difference of
+O(1) sums: each piece's sum is pairwise and the pieces' sums are combined by
+``math.fsum``.  The channel goes through the real 4x4 transfer matrix
+sum_n R_n (x) R_n, the Gram of the four entry columns.  The complex M_n are
+built whole on demand, for the dump and the completeness check only.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
 
-#: Levels per piece of a streamed evaluation and of every sum of squares.
+#: Levels per piece of the Kraus index walked by ``KrausSet.grams``.
 CHUNK_LEVELS = 2 ** 14
 
 
@@ -101,7 +101,7 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators M_n of one pulse in their phase-free form.
+    """Kraus operators M_n of one pulse against ``field``, n = n_start .. n_start + count - 1.
 
     For coherent phase phi, M_n = e^{i n phi} D R_n D^dag exactly, with
     D = diag(e^{i(phi - pi/2)}, 1) and the real matrix
@@ -109,39 +109,88 @@ class KrausSet:
         R_n = [[ |C_n| cos(k sqrt(n+1)),     |C_{n+1}| sin(k sqrt(n+1)) ],
                [ -|C_{n-1}| sin(k sqrt(n)),  |C_n| cos(k sqrt(n)) ]].
 
-    ``rows[i, j]`` is the contiguous column of entries R_n[i, j] over
-    n = n_start, n_start + 1, ... (shape (2, 2, K)).  ``transfer``, the
-    channel's real 4x4 Liouville form, and ``operators``, the complex M_n
-    of shape (K, 2, 2), are built on first access.  Immutable after
-    construction; safe to share across threads.
+    The set stores no R_n: ``grams`` builds them piece by piece each time it
+    walks the index.  ``transfer``, the channel's real 4x4 Liouville form,
+    and ``operators``, the complex M_n of shape (K, 2, 2), are built on
+    first access.  Immutable after construction; safe to share across
+    threads.
     """
 
-    rows: np.ndarray  # shape (2, 2, K), real, C-contiguous
-    n_start: int
     field: FieldState
     pulse: PulseSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.ascontiguousarray(self.rows, dtype=float))
-        self.rows.flags.writeable = False
+    n_start: int
+    count: int
 
     def __len__(self) -> int:
-        return self.rows.shape[2]
+        return self.count
 
     def indices(self) -> np.ndarray:
-        return np.arange(self.n_start, self.n_start + len(self))
+        return np.arange(self.n_start, self.n_start + self.count)
 
     def frame(self) -> np.ndarray:
-        """Diagonal of D = diag(e^{i(phi - pi/2)}, 1)."""
-        return _frame(self.field)
+        """Diagonal of D = diag(e^{i(phi - pi/2)}, 1) for the field's coherent phase phi."""
+        return np.array([cmath.exp(1j * (self.field.coherent_phase - math.pi / 2)), 1.0])
 
-    def amplitudes(self, w, v) -> np.ndarray:
-        """Phase-free amplitudes e^{-i n phi} w^T M_n v = sum_ij R_n[i, j] c_ij over n."""
-        return _contract(self.rows, _coupling(self.field, w, v))
+    def coupling(self, w, v) -> np.ndarray:
+        """c = (D w)(D^dag v)^T, whose column sum_ij R_n[i, j] c_ij is e^{-i n phi} w^T M_n v."""
+        d = self.frame()
+        return (d * w)[:, None] * (d.conj() * v)
 
-    def weight(self, w, v) -> float:
-        """sum_n |w^T M_n v|^2: the phase e^{i n phi} drops out."""
-        return sum_of_squares(self.amplitudes(w, v))
+    def grams(self, groups) -> list[np.ndarray]:
+        """The Hermitian Gram G[i, j] = sum_n a_i(n) conj(a_j(n)) of each group's columns.
+
+        A group is a sequence of 2x2 couplings c_i, and a_i(n) = sum_jk
+        R_n[j, k] c_i[j, k]; with c_i = ``coupling(w, v)``, |a_i(n)|^2 =
+        |w^T M_n v|^2.  The index is walked in pieces of CHUNK_LEVELS levels
+        from n_start; each piece builds its rows once and then, one group at
+        a time, that group's columns (by einsum, which keeps the O(K)
+        products out of BLAS, whose threads would wake for them).  Each
+        product of two columns' real or imaginary parts is summed pairwise
+        within a piece and the pieces' sums are combined by ``math.fsum``, so
+        an O(1/N) entry is never the difference of O(1) sums.  A group of
+        real couplings has real columns and a real Gram.
+
+        The pieces start at multiples of CHUNK_LEVELS from n_start, so every
+        column equals, float for float, one einsum over the whole index:
+        einsum rounds an entry differently in its vector body and in its
+        scalar tail, and such pieces keep every level in one lane position.
+        """
+        # Each group's size m and real couplings: those of its columns' real
+        # parts x_0 and, where any coupling is complex, of their imaginary parts x_1.
+        parts = []
+        for group in groups:
+            c = np.asarray(group, dtype=complex).reshape(-1, 2, 2)
+            parts.append((len(c), np.concatenate((c.real, c.imag)) if c.imag.any() else c.real))
+        end = self.n_start + self.count
+        firsts = range(self.n_start, end, CHUNK_LEVELS)
+        # sums[g][k, a, b]: piece k's sum of column a times column b (a <= b) of group g.
+        sums = [np.zeros((len(firsts), len(couplings), len(couplings))) for _, couplings in parts]
+        # One buffer serves every piece: its rows, then the scratch of their build
+        # or one group's columns and a product.  A pass thus allocates nothing of
+        # O(CHUNK_LEVELS) per piece, and its working set, one block, does not
+        # depend on the allocator's history (glibc trims a heap whose free top
+        # exceeds twice the largest block it has freed).
+        width = max((len(couplings) for _, couplings in parts), default=0)
+        length = min(CHUNK_LEVELS, self.count)
+        work = np.empty(4 * length + max(3 * length + 4, (width + 1) * length))
+        for k, first in enumerate(firsts):
+            count = min(CHUNK_LEVELS, end - first)
+            rows = _real_rows(self.field, self.pulse.kappa, first, count, work)
+            for (_, couplings), acc in zip(parts, sums):
+                _add_piece_sums(rows, couplings, acc[k], work[4 * count:])
+        out = []
+        for (m, couplings), acc in zip(parts, sums):
+            gram = np.empty((m, m), dtype=float if len(couplings) == m else complex)
+            for i in range(m):
+                for j in range(i, m):
+                    if len(couplings) == m:
+                        value = math.fsum(acc[:, i, j])
+                    else:  # (x_0 + i x_1)_i (x_0 - i x_1)_j, x_1 in the columns from m on
+                        value = complex(math.fsum([*acc[:, i, j], *acc[:, m + i, m + j]]),
+                                        math.fsum([*acc[:, j, m + i], *(-acc[:, i, m + j])]))
+                    gram[i, j], gram[j, i] = value, value.conjugate()
+            out.append(gram)
+        return out
 
     @cached_property
     def transfer(self) -> np.ndarray:
@@ -149,16 +198,10 @@ class KrausSet:
 
         S is the real 4x4 Liouville form of X -> sum_n R_n X R_n^T:
         (sum_n R_n X R_n^T)[i, j] = sum_kl S[i, j, k, l] X[k, l].  It is the
-        Gram matrix of the four entry columns, reordered; each of its ten
-        distinct entries is one product column summed pairwise, without
-        BLAS (see ``amplitudes``); a running sum (einsum) loses about six
-        times more.
+        Gram of the four entry columns R_n[i, k] (the unit couplings),
+        reordered.
         """
-        columns = self.rows.reshape(4, -1)
-        gram = np.empty((4, 4))
-        for p in range(4):
-            gram[p, p:] = (columns[p] * columns[p:]).sum(axis=1)
-            gram[p:, p] = gram[p, p:]
+        gram, = self.grams([np.eye(4).reshape(4, 2, 2)])
         transfer = np.ascontiguousarray(gram.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3))
         transfer.flags.writeable = False
         return transfer
@@ -167,8 +210,8 @@ class KrausSet:
     def operators(self) -> np.ndarray:
         """The complex M_n of shape (K, 2, 2), from the stored amplitudes C_n."""
         coeffs = _neighbourhood(self.field.amplitudes(), self.field.n_offset, self.n_start,
-                                len(self), 0.0)
-        ops = _entries(coeffs, self.n_start, len(self), self.pulse.kappa, -1j, -1j)
+                                self.count, 0.0)
+        ops = _entries(coeffs, self.n_start, self.count, self.pulse.kappa, -1j, -1j)
         ops = np.ascontiguousarray(ops.transpose(2, 0, 1))
         ops.flags.writeable = False
         return ops
@@ -183,56 +226,28 @@ class KrausSet:
                 for n, op in zip(self.indices(), self.operators)]
 
 
-def _frame(field: FieldState) -> np.ndarray:
-    """Diagonal of D = diag(e^{i(phi - pi/2)}, 1) for the field's coherent phase phi."""
-    return np.array([cmath.exp(1j * (field.coherent_phase - math.pi / 2)), 1.0])
+def _add_piece_sums(rows: np.ndarray, couplings: np.ndarray, acc: np.ndarray,
+                    work: np.ndarray) -> None:
+    """Write one piece's sums of the products of real columns a and b (a <= b),
+    those of ``couplings``, into ``acc[a, b]``.  The columns and each product
+    are written into ``work``; each product is summed pairwise."""
+    count = rows.shape[-1]
+    cols = work[:len(couplings) * count].reshape(len(couplings), count)
+    product = work[cols.size:cols.size + count]
+    for col, c in zip(cols, couplings):
+        np.einsum("ijn,ij->n", rows, c, out=col)
+    for a in range(len(cols)):
+        for b in range(a, len(cols)):
+            acc[a, b] = np.multiply(cols[a], cols[b], out=product).sum()
 
 
-def _coupling(field: FieldState, w, v) -> np.ndarray:
-    """c = (D w)(D^dag v)^T, which weighs R_n into e^{-i n phi} w^T M_n v."""
-    d = _frame(field)
-    return np.outer(d * np.asarray(w), d.conj() * np.asarray(v))
-
-
-def _contract(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_ij rows[i, j] c_ij over the last axis of ``rows``.
-
-    An all-zero part of c (Im c at phi = pi/2, where D = I) is skipped, so
-    the amplitudes of real w and v are then real.  einsum keeps the O(K)
-    products out of BLAS, whose threads would wake for them and stall the
-    small products that follow.
-    """
-    amp = np.einsum("ijn,ij->n", rows, c.real)
-    if c.imag.any():
-        amp = amp + 1j * np.einsum("ijn,ij->n", rows, c.imag)
-    return amp
-
-
-def _square_sums(amp: np.ndarray):
-    """The pairwise sum of squares of each CHUNK_LEVELS-long piece of each real
-    part of ``amp``: ``ndarray.sum`` adds exactly as np.sum does, without its
-    few microseconds of dispatch per call."""
-    for part in ((amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)):
-        for first in range(0, len(part), CHUNK_LEVELS):
-            piece = part[first:first + CHUNK_LEVELS]
-            yield (piece * piece).sum()
-
-
-def sum_of_squares(amp: np.ndarray) -> float:
-    """sum_n |amp_n|^2: one pairwise np.sum per CHUNK_LEVELS-long piece of
-    each real part, the pieces combined by ``math.fsum``.
-
-    Up to CHUNK_LEVELS entries this is np.sum of the squares; beyond, the
-    pieces are the ones ``stream_weights`` sums, so a stored and a streamed
-    weight agree bit for bit.
-    """
-    return math.fsum(_square_sums(amp))
-
-
-def _neighbourhood(values: np.ndarray, lo: int, start: int, count: int, fill) -> np.ndarray:
-    """c_{start-1} .. c_{start+count} (count + 2 entries), where ``values[i]``
-    is c_{lo + i} and every other c_n is ``fill``."""
-    out = np.full(count + 2, fill, dtype=values.dtype)
+def _neighbourhood(values: np.ndarray, lo: int, start: int, count: int, fill,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """c_{start-1} .. c_{start+count} (count + 2 entries, into ``out`` if given),
+    where ``values[i]`` is c_{lo + i} and every other c_n is ``fill``."""
+    if out is None:
+        out = np.empty(count + 2, dtype=values.dtype)
+    out.fill(fill)
     first = start - 1 - lo  # position of c_{start-1} in ``values``
     a, b = max(first, 0), min(first + count + 2, len(values))
     out[a - first:b - first] = values[a:b]
@@ -240,30 +255,53 @@ def _neighbourhood(values: np.ndarray, lo: int, start: int, count: int, fill) ->
 
 
 def _entries(coeffs: np.ndarray, start: int, count: int, kappa: float,
-             up_factor, down_factor) -> np.ndarray:
-    """Entry columns E[i, j] (shape (2, 2, count)) of
+             up_factor, down_factor, out: np.ndarray | None = None,
+             trig: np.ndarray | None = None) -> np.ndarray:
+    """Entry columns E[i, j] (shape (2, 2, count), into ``out`` if given) of
 
         [[c_n cos(k sqrt(n+1)),  up_factor c_{n+1} sin(k sqrt(n+1))],
          [down_factor c_{n-1} sin(k sqrt(n)),  c_n cos(k sqrt(n))]]
 
     for n = start .. start + count - 1, where ``coeffs`` holds
     c_{start-1} .. c_{start+count} (see ``_neighbourhood``).  cos and sin
-    are taken once of k sqrt(m), m = start .. start + count; the n+1
-    entries read that result shifted by one.
+    are taken once of k sqrt(m), m = start .. start + count, into ``trig``
+    (shape (2, count + 1)) if given; the n+1 entries read that result
+    shifted by one.
     """
-    angle = kappa * np.sqrt(np.arange(start, start + count + 1, dtype=float))
-    cos, sin = np.cos(angle), np.sin(angle)
+    cos, sin = np.empty((2, count + 1)) if trig is None else trig
+    np.sqrt(np.arange(start, start + count + 1, dtype=float), out=sin)
+    np.multiply(sin, kappa, out=sin)  # the angle k sqrt(m)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
     here = coeffs[1:count + 1]
-    entries = np.empty((2, 2, count), dtype=np.result_type(coeffs, up_factor))
-    np.multiply(here, cos[1:], out=entries[0, 0])
-    np.multiply(up_factor * coeffs[2:], sin[1:], out=entries[0, 1])
-    np.multiply(down_factor * coeffs[:count], sin[:-1], out=entries[1, 0])
-    np.multiply(here, cos[:-1], out=entries[1, 1])
-    return entries
+    if out is None:
+        out = np.empty((2, 2, count), dtype=np.result_type(coeffs, up_factor))
+    np.multiply(here, cos[1:], out=out[0, 0])
+    np.multiply(up_factor * coeffs[2:], sin[1:], out=out[0, 1])
+    np.multiply(down_factor * coeffs[:count], sin[:-1], out=out[1, 0])
+    np.multiply(here, cos[:-1], out=out[1, 1])
+    return out
 
 
-def _kraus_span(field: FieldState, kappa: float) -> tuple[int, int]:
-    """First index and count of the Kraus operators of one pulse against ``field``.
+def _real_rows(field: FieldState, kappa: float, start: int, count: int,
+               work: np.ndarray) -> np.ndarray:
+    """Phase-free rows R_n (shape (2, 2, count)) for n = start .. start + count - 1,
+    from the exp of just their own log-magnitudes.
+
+    ``work`` is a flat buffer of at least 7 count + 4 floats: the rows are its
+    first 4 count, and the build's amplitudes and trig use the rest, which is
+    free again once the rows are returned.
+    """
+    coeffs = _neighbourhood(field.log_magnitude, field.n_offset, start, count, -np.inf,
+                            work[4 * count:5 * count + 2])
+    np.exp(coeffs, out=coeffs)
+    return _entries(coeffs, start, count, kappa, 1.0, -1.0,
+                    out=work[:4 * count].reshape(2, 2, count),
+                    trig=work[5 * count + 2:7 * count + 4].reshape(2, count + 1))
+
+
+def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
+    """The Kraus set of one pulse against ``field``; it stores no rows (see KrausSet).
 
     The index range is [max(0, window_lo - 1), window_hi + 1]: the two
     extra operators carry the couplings C_{lo} and C_{hi} into the levels
@@ -271,52 +309,11 @@ def _kraus_span(field: FieldState, kappa: float) -> tuple[int, int]:
     for number states.  Raises ValueError if the largest trig argument,
     kappa sqrt(n_max + 2), is not a finite float.
     """
-    if not math.isfinite(kappa * math.sqrt(field.n_max + 2)):
+    if not math.isfinite(pulse.kappa * math.sqrt(field.n_max + 2)):
         raise ValueError(f"kappa*sqrt(n) must be finite up to n={field.n_max + 2}, "
-                         f"got kappa={kappa}")
+                         f"got kappa={pulse.kappa}")
     start = max(0, field.n_offset - 1)
-    return start, field.n_max + 2 - start
-
-
-def _real_rows(field: FieldState, kappa: float, start: int, count: int) -> np.ndarray:
-    """Phase-free rows R_n (shape (2, 2, count)) for n = start .. start + count - 1,
-    from the exp of just their own log-magnitudes."""
-    coeffs = np.exp(_neighbourhood(field.log_magnitude, field.n_offset, start, count, -np.inf))
-    return _entries(coeffs, start, count, kappa, 1.0, -1.0)
-
-
-def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
-    """Populate the phase-free Kraus rows R_n of one pulse against ``field``.
-
-    See ``_kraus_span`` for the index range and the ValueError it raises.
-    """
-    start, count = _kraus_span(field, pulse.kappa)
-    rows = _real_rows(field, pulse.kappa, start, count)
-    return KrausSet(rows=rows, n_start=int(start), field=field, pulse=pulse)
-
-
-def stream_weights(field: FieldState, pulse: PulseSpec, pairs) -> list[float]:
-    """The weights sum_n |w^T M_n v|^2 of each (w, v) in ``pairs``, without storing the rows.
-
-    The levels are walked in pieces of CHUNK_LEVELS from the first Kraus
-    index; each piece builds its rows, contracts them for every pair and
-    keeps one partial sum per pair and real part.  The pieces are the
-    ones ``sum_of_squares`` cuts a stored amplitude column into, so each
-    weight equals ``build_kraus(field, pulse).weight(w, v)`` bit for bit.
-    That needs the pieces to start at multiples of CHUNK_LEVELS: einsum
-    rounds an entry differently in its vector body and in its scalar tail,
-    and a multiple of 2**14 keeps every entry in the same lane position as
-    in the stored column.
-    """
-    start, count = _kraus_span(field, pulse.kappa)
-    couplings = [_coupling(field, w, v) for w, v in pairs]
-    partials = [[] for _ in couplings]
-    for first in range(start, start + count, CHUNK_LEVELS):
-        rows = _real_rows(field, pulse.kappa, first, min(CHUNK_LEVELS, start + count - first))
-        for c, sums in zip(couplings, partials):
-            sums.extend(_square_sums(_contract(rows, c)))
-        del rows  # so that the next piece is built without this one alive
-    return [math.fsum(sums) for sums in partials]
+    return KrausSet(field=field, pulse=pulse, n_start=start, count=field.n_max + 2 - start)
 
 
 def apply_channel(rho: QubitState, kraus: KrausSet) -> QubitState:

@@ -9,16 +9,16 @@ Alongside the exact cumulative error the report carries two cheaper
 estimates: a two-branch statistical-mixture composition of per-step
 pure-state errors (exact up to the O(1/N^2) coherence it discards, valid
 when each step's population bias is suppressed, hence the bias-free
-default), and the plain sum of the per-step leading 1/N terms.  A step
-builds a Kraus set only when its resolved pulse changes; the running
-state and both mixture branches share it.
+default), and the plain sum of the per-step leading 1/N terms.
 
-The running state is carried in the basis of its current target and that
+The running state is carried in the frame of its current target and that
 target's orthogonal complement, where its O(1/N) entries are sums of
 per-level products of their own size.  In the lab basis they would be
 differences of O(1) entries, and the next step's error, which weighs the
 state's small eigenvalue, would inherit their absolute rounding (about
-1e-16, or 1e-7 relative at N = 1e8).
+1e-16, or 1e-7 relative at N = 1e8).  The targets are classical, so every
+frame is known before any evaluation, and one pass over each distinct
+pulse's Kraus index (KrausSet.grams) serves every step that uses it.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import KrausSet, QubitState, build_kraus, sum_of_squares
+from .jc_channel import QubitState, build_kraus
 from .error_metrics import (
     ControlSpec,
+    error_pair,
     error_rate_exact,
-    error_report,
     landscape_asymptote,
     orthogonal_target,
     resolve_pulse,
@@ -61,22 +61,13 @@ class SequenceComparison(NamedTuple):
     single_2N: float
 
 
-def _output_in_basis(kraus: KrausSet, lam, vecs, basis: np.ndarray) -> np.ndarray:
-    """B (sum_n M_n rho M_n^dag) B^T for rho = sum_k lam_k v_k v_k^dag.
-
-    ``basis`` holds the real orthonormal rows B; ``vecs`` holds the v_k
-    as columns.  Each branch's amplitudes on the two rows are computed
-    once: the diagonal entries are their sums of squares and the
-    off-diagonal one sums their per-level products.
-    """
-    out = np.zeros((2, 2), dtype=complex)
-    for p, v in zip(lam, vecs.T):
-        amp0, amp1 = kraus.amplitudes(basis[0], v), kraus.amplitudes(basis[1], v)
-        out[0, 0] += p * sum_of_squares(amp0)
-        out[1, 1] += p * sum_of_squares(amp1)
-        out[0, 1] += p * np.sum(amp0 * amp1.conj())
-    out[1, 0] = out[0, 1].conjugate()
-    return out
+def _step(sigma: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """sum_kl sigma[k, l] H[(a, k), (b, l)] for each (a, b), where gram[2k + a, 2l + b]
+    holds H; each real and imaginary part is one math.fsum of its products."""
+    m = len(sigma)
+    terms = (sigma[:, None, :, None] * gram.reshape(m, 2, m, 2)).transpose(1, 3, 0, 2)
+    return np.array([[complex(math.fsum(t.real.ravel()), math.fsum(t.imag.ravel()))
+                      for t in row] for row in terms])
 
 
 def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
@@ -88,49 +79,61 @@ def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
     is deterministic: repeating it gives bitwise-identical reports.
     """
     n_mean = field.mean_photon_number
-    final_state = QubitState.pure(theta0)
-    lam, vecs = (1.0,), np.array([[math.sin(theta0)], [math.cos(theta0)]])
-    angle = theta0
-    kraus = None
+    angles = [theta0]
+    for theta in steps:
+        angles.append(angles[-1] + theta)
+    # Rows R(angle)|0> and R(angle)|1>: each target and its orthogonal complement.
+    frames = [np.array([[math.sin(a), math.cos(a)], orthogonal_target(a)]) for a in angles]
+    pulses = [resolve_pulse(mode, n_mean, base=theta, start_angle=angle)
+              for theta, angle in zip(steps, angles)]
+
+    # One pass per distinct pulse.  Step i's Gram has the columns
+    # b_a^T M_n u_k (u = frames[i], b = frames[i + 1]) in the order 2k + a;
+    # step 1 starts from u_0 alone.  Its (k, a) = (0, 1) entry is the error
+    # of the branch that follows, and a second group holds the error of the
+    # leaked branch, which starts on the previous orthogonal target.
+    grams, leaked = [None] * len(steps), [None] * len(steps)
+    for pulse in dict.fromkeys(pulses):
+        kraus = build_kraus(field, pulse)
+        mine = [i for i, p in enumerate(pulses) if p == pulse]
+        groups = []
+        for i in mine:
+            starts = frames[i][:1] if i == 0 else frames[i]
+            groups.append([kraus.coupling(b, u) for u in starts for b in frames[i + 1]])
+            groups.append([kraus.coupling(*error_pair(ControlSpec(angles[i] + math.pi / 2,
+                                                                  steps[i])))])
+        results = kraus.grams(groups)
+        for i, gram, leak in zip(mine, results[::2], results[1::2]):
+            grams[i], leaked[i] = gram, float(leak[0, 0].real)
+
+    sigma = np.ones((1, 1))  # the start u_0 = R(theta0)|0> in the frame (u_0)
     mixture = 0.0
     asymptote = 0.0
-    per_step, targets, mixtures, asymptotes = [], [], [], []
-
-    for theta in steps:
-        pulse = resolve_pulse(mode, n_mean, base=theta, start_angle=angle)
-        if kraus is None or kraus.pulse != pulse:
-            kraus = build_kraus(field, pulse)
-        target = angle + theta
-        # The output state in the basis (target, orthogonal target); its
-        # weight on the orthogonal target is the error.
-        basis = np.array([[math.sin(target), math.cos(target)], orthogonal_target(target)])
-        sigma = _output_in_basis(kraus, lam, vecs, basis)
+    per_step, mixtures, asymptotes = [], [], []
+    for i, theta in enumerate(steps):
+        sigma = _step(sigma, grams[i])
         per_step.append(min(max(float(sigma[1, 1].real), 0.0), 1.0))
-        lam, frame_vecs = np.linalg.eigh(sigma)
-        vecs = basis.T @ frame_vecs
-        final_state = QubitState(rho=basis.T @ sigma @ basis)
 
         # Two-branch mixture: the faithful branch sits on the previous
         # target, the leaked branch on its orthogonal complement; the
         # leaked branch reaches the new target exactly when it fails to
         # follow its own rotation.
-        p_follow = error_report(ControlSpec(angle, theta), kraus).exact
-        p_leaked = error_report(ControlSpec(angle + math.pi / 2, theta), kraus).exact
+        p_follow = min(float(grams[i][1, 1].real), 1.0)
+        p_leaked = min(leaked[i], 1.0)
         mixture = p_follow * (1.0 - mixture) + (1.0 - p_leaked) * mixture
 
-        asymptote += landscape_asymptote(angle + 0.5 * theta, theta, n_mean)
-        angle = target
-        targets.append(target)
+        asymptote += landscape_asymptote(angles[i] + 0.5 * theta, theta, n_mean)
         mixtures.append(mixture)
         asymptotes.append(asymptote)
 
+    basis = frames[-1][:len(sigma)]
     return SequenceReport(
         per_step_error=tuple(per_step),
         cumulative_exact=per_step[-1] if per_step else 0.0,
         cumulative_mixture=mixture,
         cumulative_asymptote=asymptote,
-        final_state=final_state,
-        target_angles=tuple(targets),
+        final_state=QubitState(rho=basis.T @ sigma @ basis),
+        target_angles=tuple(angles[1:]),
         per_step_mixture=tuple(mixtures),
         per_step_asymptote=tuple(asymptotes),
     )

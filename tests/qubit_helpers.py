@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
-from jcpulse import KrausSet, QubitState
+from jcpulse import ErrorReport, KrausSet, QubitState
+from jcpulse.error_metrics import _report, error_pair
+from jcpulse.jc_channel import CHUNK_LEVELS, _real_rows
 
 
 def maximally_mixed() -> QubitState:
@@ -32,6 +34,43 @@ def operator(kraus: KrausSet, n: int) -> np.ndarray:
     return kraus.operators[n - kraus.n_start]
 
 
+def whole_rows(kraus: KrausSet) -> np.ndarray:
+    """The phase-free rows R_n of the whole index, shape (2, 2, K), in one piece."""
+    work = np.empty(7 * len(kraus) + 4)
+    return _real_rows(kraus.field, kraus.pulse.kappa, kraus.n_start, len(kraus), work)
+
+
+def sum_of_squares(amp: np.ndarray) -> float:
+    """sum_n |amp_n|^2: one pairwise np.sum per CHUNK_LEVELS-long piece of
+    each real part, the pieces combined by ``math.fsum``."""
+    sums = []
+    for part in ((amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)):
+        for first in range(0, len(part), CHUNK_LEVELS):
+            piece = part[first:first + CHUNK_LEVELS]
+            sums.append((piece * piece).sum())
+    return math.fsum(sums)
+
+
+def whole_window_reports(controls, kraus: KrausSet) -> tuple[ErrorReport, ...]:
+    """error_report from rows stored whole: each weight's column is one einsum
+    over the whole index and its squares are summed by ``sum_of_squares``."""
+    rows = whole_rows(kraus)
+
+    def weight(w, v):
+        c = kraus.coupling(w, v)
+        amp = np.einsum("ijn,ij->n", rows, c.real)
+        if c.imag.any():
+            amp = amp + 1j * np.einsum("ijn,ij->n", rows, c.imag)
+        return sum_of_squares(amp)
+
+    reports = []
+    for control in controls:
+        w, v = error_pair(control)
+        reports.append(_report(control, kraus.field.mean_photon_number, kraus.pulse.vartheta,
+                               weight(w, v), weight((1.0, 0.0), v)))
+    return tuple(reports)
+
+
 def phase_free_operators(kraus: KrausSet) -> np.ndarray:
     """D R_n D^dag = e^{-i n phi} M_n, shape (K, 2, 2), from the rows.
 
@@ -40,7 +79,7 @@ def phase_free_operators(kraus: KrausSet) -> np.ndarray:
     sandwich summed over N ~ 1e4 levels by up to about 1.6e-15.
     """
     d = kraus.frame()
-    return d[:, None] * kraus.rows.transpose(2, 0, 1) * d.conj()
+    return d[:, None] * whole_rows(kraus).transpose(2, 0, 1) * d.conj()
 
 
 def fsum_sandwich(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:

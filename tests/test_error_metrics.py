@@ -11,6 +11,8 @@ from scipy.stats import poisson
 from jcpulse import (
     ControlSpec,
     PulseSpec,
+    QubitState,
+    apply_channel,
     asymptotic_p,
     build_kraus,
     error_rate_exact,
@@ -22,10 +24,11 @@ from jcpulse import (
     optimal_vartheta,
     ozawa_bound,
     resolve_pulse,
-    stream_report,
+    run_sequence,
 )
 from jcpulse.jc_channel import CHUNK_LEVELS
 from paper_sums import diagonal_deviation, p_minus, p_plus, pi_pulse_error
+from qubit_helpers import whole_window_reports
 
 PI = math.pi
 QUARTER_PI = PI / 4
@@ -52,7 +55,7 @@ def direct_error_sum(theta0, theta, n_mean, kappa):
 def nominal_report(theta0, theta, n_mean):
     """error_report of one control with the nominal pulse area, fresh field."""
     kraus = build_kraus(make_coherent(n_mean), resolve_pulse("quarter-pi", n_mean, base=theta))
-    return error_report(ControlSpec(theta0, theta), kraus)
+    return error_report((ControlSpec(theta0, theta),), kraus)[0]
 
 
 class TestErrorRateExact:
@@ -389,26 +392,35 @@ def shared_field(n_mean, phase):
     return make_coherent(n_mean, phase=phase)
 
 
-def stored_report(control, field, pulse):
-    return error_report(control, build_kraus(field, pulse))
+BATCH_CONTROLS = tuple(ControlSpec(theta0, theta) for theta0, theta in
+                        ((0.0, QUARTER_PI), (PI / 2, QUARTER_PI), (0.3 * PI, 0.7 * PI)))
+BATCH_MODES = ("quarter-pi", "bias-free", "explicit")
+#: table2's controls: four start altitudes, each turned by pi/4 and by pi/2.
+TABLE2_CONTROLS = tuple(ControlSpec(theta0, theta) for theta in (QUARTER_PI, PI / 2)
+                        for theta0 in (0.0, QUARTER_PI, PI / 2, 3 * QUARTER_PI))
 
 
-STREAM_CONTROLS = ((0.0, QUARTER_PI), (PI / 2, QUARTER_PI), (0.3 * PI, 0.7 * PI))
-STREAM_MODES = ("quarter-pi", "bias-free", "explicit")
+def assert_batch_is_exact(field, pulse, controls=BATCH_CONTROLS):
+    """One batched error_report equals the same controls one at a time and the
+    reports from rows stored whole, with ``==``."""
+    kraus = build_kraus(field, pulse)
+    batched = error_report(controls, kraus)
+    assert batched == tuple(error_report((control,), kraus)[0] for control in controls)
+    assert batched == whole_window_reports(controls, kraus)
 
 
-class TestStreamReport:
-    """stream_report never stores the rows and equals the stored report bit for bit."""
+class TestBatchedReport:
+    """A batch of controls on one pulse, walked in pieces, equals its controls
+    one at a time and the whole-window reference bit for bit."""
 
     @pytest.mark.parametrize("phase", [PI / 2, 0.13 * PI], ids=["real-c", "complex-c"])
     @pytest.mark.parametrize("n_mean", [1.0, 10.0, 1e2, 1e4, 1e6, 1e7, 1e8])
     def test_equals_the_stored_report(self, n_mean, phase):
         field = shared_field(n_mean, phase)
-        for (theta0, theta), mode in itertools.product(STREAM_CONTROLS, STREAM_MODES):
-            control = ControlSpec(theta0, theta)
-            pulse = resolve_pulse(mode, n_mean, base=theta, start_angle=theta0,
+        for control, mode in itertools.product(BATCH_CONTROLS, BATCH_MODES):
+            pulse = resolve_pulse(mode, n_mean, base=control.theta, start_angle=control.theta0,
                                   vartheta=0.2 * PI)
-            assert stream_report(control, field, pulse) == stored_report(control, field, pulse)
+            assert_batch_is_exact(field, pulse)
 
     @pytest.mark.parametrize("levels", [CHUNK_LEVELS - 1, CHUNK_LEVELS, CHUNK_LEVELS + 1])
     def test_equals_the_stored_report_at_a_piece_edge(self, levels):
@@ -417,41 +429,28 @@ class TestStreamReport:
         cut = (wide.size - levels + 2) // 2
         field = dataclasses.replace(wide, n_offset=wide.n_offset + cut,
                                     log_magnitude=wide.log_magnitude[cut:cut + levels - 2])
-        for theta0, theta in STREAM_CONTROLS:
-            control = ControlSpec(theta0, theta)
-            pulse = resolve_pulse("bias-free", 2e6, base=theta, start_angle=theta0)
+        for control in BATCH_CONTROLS:
+            pulse = resolve_pulse("bias-free", 2e6, base=control.theta,
+                                  start_angle=control.theta0)
             assert len(build_kraus(field, pulse)) == levels
-            assert stream_report(control, field, pulse) == stored_report(control, field, pulse)
+            assert_batch_is_exact(field, pulse)
 
     @pytest.mark.parametrize("number", [0, 5])
     def test_equals_the_stored_report_for_number_states(self, number):
-        field = make_number_state(number)
-        pulse = PulseSpec.from_kappa(0.3, number)
-        for theta0, theta in STREAM_CONTROLS:
-            control = ControlSpec(theta0, theta)
-            assert stream_report(control, field, pulse) == stored_report(control, field, pulse)
+        assert_batch_is_exact(make_number_state(number), PulseSpec.from_kappa(0.3, number))
 
-    def test_error_rate_exact_is_the_streamed_report(self):
+    def test_equals_the_stored_report_for_table2(self):
+        assert_batch_is_exact(shared_field(1e6, PI / 2), resolve_pulse("quarter-pi", 1e6),
+                              TABLE2_CONTROLS)
+
+    def test_error_rate_exact_is_the_batched_report(self):
         field = shared_field(1e7, PI / 2)
         pulse = resolve_pulse("quarter-pi", 1e7)
         control = ControlSpec(PI / 2, QUARTER_PI)
-        assert error_rate_exact(control, field, pulse) == stored_report(control, field, pulse).exact
-
-    @pytest.mark.parametrize("phase", [PI / 2, 0.13 * PI], ids=["real-c", "complex-c"])
-    def test_memory_beyond_the_field_is_one_piece(self, phase):
-        field = shared_field(1e8, phase)
-        pulse = resolve_pulse("quarter-pi", 1e8)
-        control = ControlSpec(0.0, QUARTER_PI)
-        peaks = []
-        for evaluate in (stream_report, stored_report):
-            tracemalloc.start()
-            try:
-                evaluate(control, field, pulse)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 2 * 2 ** 20
-        assert peaks[1] > 5 * 2 ** 20  # the stored rows alone take 5 MB
+        kraus = build_kraus(field, pulse)
+        assert error_rate_exact(control, field, pulse) == error_report((control,), kraus)[0].exact
+        assert error_rate_exact(control, field, pulse) == whole_window_reports((control,),
+                                                                               kraus)[0].exact
 
     @pytest.mark.parametrize("vartheta,message", [
         (1e308, r"kappa\*sqrt\(n\) must be finite"),
@@ -460,7 +459,28 @@ class TestStreamReport:
     def test_raises_as_the_stored_path(self, vartheta, message):
         field = shared_field(10.0, PI / 2)
         pulse = resolve_pulse("explicit", 10.0, vartheta=vartheta)
-        control = ControlSpec(0.0, QUARTER_PI)
-        for evaluate in (stream_report, stored_report):
+        for evaluate in (error_report, whole_window_reports):
             with pytest.raises(ValueError, match=message):
-                evaluate(control, field, pulse)
+                evaluate(BATCH_CONTROLS, build_kraus(field, pulse))
+        with pytest.raises(ValueError, match=message):
+            error_rate_exact(BATCH_CONTROLS[0], field, pulse)
+
+
+@pytest.mark.parametrize("phase", [PI / 2, 0.13 * PI], ids=["real-c", "complex-c"])
+@pytest.mark.parametrize("evaluate", [
+    lambda field, pulse: error_report(BATCH_CONTROLS[:1], build_kraus(field, pulse)),
+    lambda field, pulse: error_report(TABLE2_CONTROLS, build_kraus(field, pulse)),
+    lambda field, pulse: run_sequence(0.0, [QUARTER_PI] * 2, field),
+    lambda field, pulse: apply_channel(QubitState.ground(), build_kraus(field, pulse)),
+], ids=["one-control", "table2-batch", "run_sequence", "apply_channel"])
+def test_memory_beyond_the_field_is_one_piece(evaluate, phase):
+    # Rows stored whole would take 5 MB at N = 1e8 (160 003 levels).
+    field = shared_field(1e8, phase)
+    pulse = resolve_pulse("quarter-pi", 1e8)
+    tracemalloc.start()
+    try:
+        evaluate(field, pulse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -18,8 +18,8 @@ from jcpulse import (
     make_number_state,
 )
 from jcpulse import pulse_sequence, run_sequence
-from jcpulse.jc_channel import CHUNK_LEVELS, sum_of_squares
-from qubit_helpers import fsum_sandwich, maximally_mixed, operator, validate
+from jcpulse.jc_channel import CHUNK_LEVELS
+from qubit_helpers import fsum_sandwich, maximally_mixed, operator, sum_of_squares, validate
 
 QUARTER_PI = math.pi / 4
 
@@ -31,6 +31,8 @@ def random_density(rng):
 
 
 class TestSumOfSquares:
+    """The whole-window reference sums its squares as KrausSet.grams sums a piece."""
+
     @pytest.mark.parametrize("size", [0, 1, 7, 1000, CHUNK_LEVELS - 1, CHUNK_LEVELS])
     def test_one_piece_is_np_sum(self, size):
         rng = np.random.default_rng(size)
@@ -254,7 +256,7 @@ class TestPhaseFactoring:
     def test_error_report_matches_operator_sandwich(self, field, vartheta, theta0, theta):
         kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
         kraus = build_kraus(field, PulseSpec.from_kappa(kappa, field.mean_photon_number))
-        report = error_report(ControlSpec(theta0, theta), kraus)
+        report, = error_report((ControlSpec(theta0, theta),), kraus)
 
         start = np.array([math.sin(theta0), math.cos(theta0)])
         out = operator_sandwich(kraus, np.outer(start, start))
@@ -297,7 +299,7 @@ def test_evaluations_build_no_phase_and_no_complex_operators(monkeypatch):
     monkeypatch.setattr(pulse_sequence, "build_kraus", recording)
     field = make_coherent(1e4, phase=0.3)
     built.append(build_kraus(field, PulseSpec.from_vartheta(QUARTER_PI, 1e4)))
-    error_report(ControlSpec(0.2, QUARTER_PI), built[0])
+    error_report((ControlSpec(0.2, QUARTER_PI),), built[0])
     run_sequence(0.2, [QUARTER_PI] * 2, field)
     assert len(built) >= 2
     assert "phase" not in field.__dict__

@@ -1,4 +1,4 @@
-"""Median wall time of each jcpulse layer and of four CLI commands, in-process.
+"""Median wall time of each jcpulse layer, of parsing and of five CLI commands, in-process.
 
 Run from anywhere with ``python scripts/bench_layers.py``; it imports
 jcpulse from the ``src`` directory next to this script and prints one JSON
@@ -18,6 +18,9 @@ field of phase pi/2 and the quarter-pi pulse:
 - ``run_sequence``: two pi/4 steps from the ground pole on a built field.
 
 The CLI rows run ``jcpulse.cli.main`` with stdout and stderr captured.
+``table2 --n 100`` (a 200-level field) is the fixed cost of a command:
+parsing, a small evaluation and the CSV output.  The ``cli_parse`` row is
+``build_parser().parse_args`` of ``table2 --n 1e6`` alone.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from jcpulse import cli  # noqa: E402
 REPEAT = 15
 LAYER_N = ("1e6", "1e8")
 CLI_COMMANDS = (
+    ("table2", "--n", "100"),
     ("sweep", "--n-min", "1e4", "--n-max", "1e8", "--points", "5"),
     ("table2", "--n", "1e6"),
     ("landscape", "--n", "1e6"),
@@ -103,13 +107,18 @@ def cli_ms(argv: tuple[str, ...]) -> float:
     return median_ms(run)
 
 
+def parse_ms() -> float:
+    return median_ms(lambda _: cli.build_parser().parse_args(["table2", "--n", "1e6"]))
+
+
 def main() -> int:
     result = {
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count(),
                  "blas_threads": 1},
         "layers_ms": {f"N={n}": layer_times(float(n)) for n in LAYER_N},
-        "cli_ms": {" ".join(argv): cli_ms(argv) for argv in CLI_COMMANDS},
+        "cli_ms": {"cli_parse": parse_ms(),
+                   **{" ".join(argv): cli_ms(argv) for argv in CLI_COMMANDS}},
     }
     json.dump(result, sys.stdout, indent=2)
     sys.stdout.write("\n")

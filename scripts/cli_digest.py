@@ -11,8 +11,8 @@ commands whose output changed.
 The matrix is the ``sequence`` grid (N 1e2..1e8, four starts, seven pulse
 modes, CSV and JSON), variants of the other subcommands, and invalid
 commands.  The script exits 1 on a contract break, reported on stderr: an
-exit code other than 0 or 2, an exception, NaN output on exit 0, or stdout
-on exit 2.
+exit code other than 0 or 2, an exception, a NaN or infinite value in the
+output on exit 0, or stdout on exit 2.
 """
 
 from __future__ import annotations
@@ -81,17 +81,22 @@ INVALID_COMMANDS = (
     ("sweep", "--n-max", "1e20"),
     ("sweep", "--vartheta-mode", "explicit", "--vartheta", "1e300", "--points", "2"),
     ("sweep", "--points", "1000000000000000"),
+    ("sweep", "--n-min", "5e-324", "--vartheta", "0", "--theta", "1e20"),
     ("table2", "--n", "inf"),
     ("table2", "--n", "50"),
     ("table2", "--n", "1e20"),
+    ("table2", "--out", "/nonexistent/dir/x.csv"),
     ("landscape", "--n", "inf"),
     ("landscape", "--n", "1e20"),
     ("landscape", "--grid", "1"),
     ("landscape", "--grid", "1000000000000000"),
+    ("landscape", "--n", "1e-320"),
     ("sequence", "--n", "inf"),
     ("sequence", "--n", "-4"),
     ("sequence", "--n", "1e20"),
     ("sequence", "--mode", "explicit"),
+    ("sequence", "--n", "5e-324", "--tail-tol", "0.9"),
+    ("sequence", "--n", "5e-324", "--tail-tol", "0.9", "--mode", "quarter-pi"),
     ("moments", "--n", "1e20"),
     ("moments", "--k", "-1"),
     ("moments", "--n", "1e-300"),
@@ -109,7 +114,7 @@ INVALID_COMMANDS = (
     ("kraus-dump", "--number", "4", "--kappa", "1e308"),
 )
 
-_NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 def commands():
@@ -137,8 +142,8 @@ def run(argv: tuple[str, ...]) -> tuple[object, str, str]:
 def contract_break(code, stdout: str, stderr: str) -> str | None:
     if code not in (0, 2):
         return f"exit {code}"
-    if code == 0 and (_NAN.search(stdout) or _NAN.search(stderr)):
-        return "NaN output on exit 0"
+    if code == 0 and (_NON_FINITE.search(stdout) or _NON_FINITE.search(stderr)):
+        return "NaN or inf output on exit 0"
     if code == 2 and stdout:
         return "stdout on exit 2"
     return None

@@ -10,7 +10,9 @@ interface stability only).
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -91,15 +93,18 @@ def _json_value_tree(value):
     return _json_value(value)
 
 
-def _positive(value: float, name: str) -> float:
+def _photon_number(value: float, name: str) -> float:
+    """A mean photon number: positive and finite, with a finite 1/N."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(1.0 / value):
+        raise ValueError(f"{name} {value} is too small: 1/N overflows")
     return value
 
 
 def cmd_sweep(args) -> None:
-    n_min = _positive(args.n_min, "--n-min")
-    n_max = _positive(args.n_max, "--n-max")
+    n_min = _photon_number(args.n_min, "--n-min")
+    n_max = _photon_number(args.n_max, "--n-max")
     if n_min > n_max:
         raise ValueError(f"--n-min {n_min} exceeds --n-max {n_max}")
     if args.points < 2:
@@ -139,7 +144,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_table2(args) -> None:
-    n_mean = _positive(args.n, "--n")
+    n_mean = _photon_number(args.n, "--n")
     if n_mean < 100:
         raise ValueError(f"--n must be >= 100 for the coefficient table, got {n_mean}")
     field = make_coherent(n_mean, tail_tol=args.tail_tol)
@@ -162,7 +167,7 @@ def cmd_table2(args) -> None:
 
 
 def cmd_sequence(args) -> None:
-    n_mean = _positive(args.n, "--n")
+    n_mean = _photon_number(args.n, "--n")
     report, comparison = compare_sequence_vs_single(START_ANGLES[args.start], n_mean,
                                                     mode=args.mode, tail_tol=args.tail_tol)
     rows = []
@@ -181,7 +186,7 @@ def cmd_sequence(args) -> None:
 
 
 def cmd_landscape(args) -> None:
-    n_mean = _positive(args.n, "--n")
+    n_mean = _photon_number(args.n, "--n")
     if not 0.0 <= args.theta <= math.pi:
         raise ValueError(f"--theta must lie in [0, 1] (units of pi), got {args.theta / math.pi}")
     if args.grid < 2:
@@ -214,12 +219,10 @@ def cmd_landscape(args) -> None:
 
 
 def cmd_moments(args) -> None:
-    n_mean = _positive(args.n, "--n")
+    n_mean = _photon_number(args.n, "--n")
     if args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     bound = 1.0 / n_mean
-    if not math.isfinite(bound):
-        raise ValueError(f"--n {n_mean} is too small: 1/N overflows")
     field = make_coherent(n_mean, tail_tol=args.tail_tol)
     direct = central_moments_direct(field, args.k)
     recursive = central_moments_recursive(n_mean, args.k)
@@ -247,7 +250,8 @@ def cmd_kraus_dump(args) -> None:
         if args.kappa is None:
             raise ValueError("number-state fields need an explicit --kappa")
     else:
-        field = make_coherent(_positive(args.n, "--n"), phase=args.phi, tail_tol=args.tail_tol)
+        field = make_coherent(_photon_number(args.n, "--n"), phase=args.phi,
+                              tail_tol=args.tail_tol)
     n_mean = field.mean_photon_number
     if args.kappa is not None:
         pulse = PulseSpec.from_kappa(args.kappa, n_mean)
@@ -277,7 +281,9 @@ def _pi_units(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (see build_parser)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
                         help="Poisson tail mass allowed by truncation (default 1e-12)")
@@ -306,12 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vartheta-mode", choices=PULSE_MODES, default="quarter-pi")
     p.add_argument("--vartheta", type=_pi_units, default=None,
                    help="half pulse area for --vartheta-mode explicit")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table2", parents=[common],
                        help="scaled errors of half and full flips vs start altitude")
     p.add_argument("--n", type=float, default=1e4)
-    p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("sequence", parents=[common],
                        help="two successive half rotations vs one full flip")
@@ -321,20 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     # A sequence takes no --vartheta, so "explicit" has nothing to resolve.
     p.add_argument("--mode", choices=[m for m in PULSE_MODES if m != "explicit"],
                    default="bias-free")
-    p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("landscape", parents=[common],
                        help="error vs midpoint altitude for a fixed rotation")
     p.add_argument("--theta", type=_pi_units, default=math.pi / 2)
     p.add_argument("--n", type=float, default=1e4)
     p.add_argument("--grid", type=int, default=9)
-    p.set_defaults(func=cmd_landscape)
 
     p = sub.add_parser("moments", parents=[common],
                        help="Poisson central moments, direct vs recursive")
     p.add_argument("--n", type=float, default=10.0)
     p.add_argument("--k", type=int, default=6)
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("kraus-dump", parents=[common],
                        help="dump the Kraus operators of one pulse")
@@ -346,20 +347,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coherent phase (units of pi, default 0.5)")
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--vartheta", type=_pi_units, default=None)
-    p.set_defaults(func=cmd_kraus_dump)
 
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: a shallow copy of the one built per process.
+
+    Rebinding an attribute of a copy, such as ``parse_args``, does not reach
+    the next one.  The sub-parsers and actions are shared, so add no
+    arguments to a copy; ``parse_args`` leaves them unchanged.
+    """
+    return copy.copy(_parser())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up per call, so a rebound cmd_* (a wrapper or a test double) is the one run.
+    command = {"sweep": cmd_sweep, "table2": cmd_table2, "sequence": cmd_sequence,
+               "landscape": cmd_landscape, "moments": cmd_moments,
+               "kraus-dump": cmd_kraus_dump}[args.command]
     try:
-        args.func(args)
-    except (ValueError, MemoryError) as exc:
+        command(args)
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"jcpulse: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0

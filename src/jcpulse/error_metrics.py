@@ -185,9 +185,14 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
 
     Maximal at midpoint pi/2 -> (theta + sin theta)^2 / 4N, minimal at
     midpoint 0 -> (theta - sin theta)^2 / 4N.
+    Raises ValueError if the result is not a finite float.
     """
     amp = theta - math.cos(2.0 * midpoint) * math.sin(theta)
-    return amp * amp / (4.0 * n_mean)
+    value = amp * amp / (4.0 * n_mean)
+    if not math.isfinite(value):
+        raise ValueError(f"the 1/N term at midpoint={midpoint!r}, theta={theta!r}, "
+                         f"N={n_mean!r} is not a finite float")
+    return value
 
 
 def error_pair(control: ControlSpec) -> tuple:

@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcpulse import (
     ControlSpec,
@@ -125,12 +128,26 @@ class TestSweep:
         ("landscape", "--grid", "1000000000000000"),
         ("sweep", "--points", "1000000000000000"),
         ("moments", "--k", "1000000000000000"),
+        # 1/N overflows, or the 1/N reference does at a huge rotation.
+        ("landscape", "--n", "1e-320"),
+        ("sequence", "--n", "5e-324", "--tail-tol", "0.9"),
+        ("sequence", "--n", "5e-324", "--tail-tol", "0.9", "--mode", "quarter-pi"),
+        ("sweep", "--n-min", "5e-324", "--vartheta", "0", "--theta", "1e20"),
+        ("sweep", "--n-min", "1e-296", "--theta", "1e20", "--points", "2"),
     ])
     def test_invalid_config_exits_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.strip()
+
+    @pytest.mark.parametrize("target", ["missing/sweep.csv", ""],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        code, out, err = run_cli(capsys, "sweep", "--n-min", "10", "--n-max", "100",
+                                 "--points", "2", "--out", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("jcpulse: error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,3 +374,88 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 2
         assert result.stdout == ""
+
+
+class TestParserReuse:
+    """main builds its parser once per process and hands out shallow copies."""
+
+    def test_build_parser_returns_distinct_copies(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_rebound_parse_args_stays_on_its_copy(self):
+        first = cli.build_parser()
+        first.parse_args = lambda *args, **kwargs: pytest.fail("reached the next parser")
+        assert cli.build_parser().parse_args(["table2", "--n", "1e6"]).n == 1e6
+
+    def test_main_runs_the_current_command_binding(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_table2", lambda args: seen.append(args.n))
+        assert run_cli(capsys, "table2", "--n", "123") == (0, "", "")
+        assert seen == [123.0]
+
+    MIXED = (
+        ("table2", "--n", "100"),
+        ("landscape", "--grid", "1"),
+        ("sweep", "--help"),
+        ("--version",),
+        ("frobnicate",),
+        ("moments", "--n", "abc"),
+        ("sequence", "--n", "1e3", "--format", "json"),
+    )
+
+    def test_second_pass_repeats_the_first(self, capsys):
+        cli._parser.cache_clear()  # the first pass builds the parser
+        first, second = ([run_cli(capsys, *argv) for argv in self.MIXED] for _ in range(2))
+        assert first == second
+        assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 2, 0]
+
+
+# Values that break some option: zero, negatives, non-finite, subnormal,
+# huge and unparseable.
+HOSTILE = ("0", "-1", "nan", "inf", "-inf", "1e-320", "5e-324", "1e20", "abc")
+# Valid values keep every field at N <= 1e4, so an example takes milliseconds.
+VALID = {
+    "--n": ("100", "1e3", "1e4"), "--n-min": ("10", "1e3"), "--n-max": ("1e3", "1e4"),
+    "--points": ("2", "3"), "--grid": ("2", "5"), "--k": ("0", "6"),
+    "--number": ("0", "3"), "--kappa": ("0.1", "0.7"),
+    "--theta0": ("0", "0.5", "1.7"), "--theta": ("0.25", "1"), "--vartheta": ("0.25", "0"),
+    "--phi": ("0", "0.5"), "--tail-tol": ("1e-12", "1e-6", "0.5"),
+    "--format": ("csv", "json"), "--seed": ("7",),
+    "--spacing": ("log", "linear"), "--vartheta-mode": cli.PULSE_MODES,
+    "--mode": ("quarter-pi", "bias-free", "optimal-fidelity-plus"),
+    "--start": tuple(START_ANGLES),
+}
+COMMON = ("--tail-tol", "--format", "--seed")
+OPTIONS = {
+    "sweep": ("--theta0", "--theta", "--n-min", "--n-max", "--points", "--spacing",
+              "--vartheta-mode", "--vartheta", *COMMON),
+    "table2": ("--n", *COMMON),
+    "sequence": ("--start", "--n", "--mode", *COMMON),
+    "landscape": ("--theta", "--n", "--grid", *COMMON),
+    "moments": ("--n", "--k", *COMMON),
+    "kraus-dump": ("--n", "--number", "--phi", "--kappa", "--vartheta", *COMMON),
+}
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(OPTIONS[command]), unique=True, max_size=4)):
+        argv += [option, draw(st.sampled_from(VALID[option] + HOSTILE))]
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=200, deadline=None)
+def test_cli_contract_over_argument_space(argv):
+    # Every example runs through this process's one parser.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue() + err.getvalue()), argv
+    else:
+        assert out.getvalue() == "", argv

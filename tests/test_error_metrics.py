@@ -316,6 +316,11 @@ class TestLandscape:
         for midpoint in (0.0, 0.4, PI / 2):
             assert landscape_asymptote(midpoint, 0.0, 10.0) == 0.0
 
+    def test_overflow_raises(self):
+        # A finite 1/N times a huge squared rotation overflows.
+        with pytest.raises(ValueError, match="not a finite float"):
+            landscape_asymptote(0.4, 1e20 * PI, 1e-296)
+
     def test_grid_consistency_with_exact(self):
         n_mean = 1e4
         worst = 0.0

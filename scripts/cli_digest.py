@@ -82,6 +82,7 @@ INVALID_COMMANDS = (
     ("sweep", "--vartheta-mode", "explicit", "--vartheta", "1e300", "--points", "2"),
     ("sweep", "--points", "1000000000000000"),
     ("sweep", "--n-min", "5e-324", "--vartheta", "0", "--theta", "1e20"),
+    ("sweep", "--n-min", "1e-296", "--theta", "1e20", "--points", "2"),
     ("table2", "--n", "inf"),
     ("table2", "--n", "50"),
     ("table2", "--n", "1e20"),

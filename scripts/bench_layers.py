@@ -1,4 +1,4 @@
-"""Median wall time of each jcpulse layer, of parsing and of five CLI commands, in-process.
+"""Median wall time of each jcpulse layer, of parsing and of six CLI commands, in-process.
 
 Run from anywhere with ``python scripts/bench_layers.py``; it imports
 jcpulse from the ``src`` directory next to this script and prints one JSON
@@ -19,7 +19,8 @@ field of phase pi/2 and the quarter-pi pulse:
 
 The CLI rows run ``jcpulse.cli.main`` with stdout and stderr captured.
 ``table2 --n 100`` (a 200-level field) is the fixed cost of a command:
-parsing, a small evaluation and the CSV output.  The ``cli_parse`` row is
+parsing, a small evaluation and the CSV output.  ``kraus-dump --n 1e4``
+writes the 1.6k-level operator table and its completeness residual.  The ``cli_parse`` row is
 ``build_parser().parse_args`` of ``table2 --n 1e6`` alone.
 """
 
@@ -64,6 +65,7 @@ CLI_COMMANDS = (
     ("table2", "--n", "1e6"),
     ("landscape", "--n", "1e6"),
     ("sequence", "--n", "1e6"),
+    ("kraus-dump", "--n", "1e4", "--vartheta", "0.25"),
 )
 
 

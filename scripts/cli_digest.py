@@ -67,6 +67,9 @@ OTHER_COMMANDS = (
     ("kraus-dump", "--n", "100", "--kappa", "0.1"),
     ("kraus-dump", "--n", "100", "--kappa", "0.1", "--phi", "0", "--format", "json"),
     ("kraus-dump", "--n", "1e4", "--vartheta", "0.25", "--phi", "1.5"),
+    # A generic coherent phase in JSON and a larger number state.
+    ("kraus-dump", "--n", "1e4", "--vartheta", "0.25", "--phi", "0.13", "--format", "json"),
+    ("kraus-dump", "--number", "17", "--kappa", "0.3"),
 )
 
 INVALID_COMMANDS = (

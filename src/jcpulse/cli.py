@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import errno
 import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,6 +85,25 @@ def _emit(args, rows, meta_params, extra=None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str | None) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise if it is a
+    directory, an existing file without write access, or a new file in a missing
+    or unwritable directory; create nothing."""
+    if not path:  # stdout, as in _emit
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not (os.access(path, os.W_OK) if os.path.exists(path)
+              else os.access(parent, os.W_OK | os.X_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _json_value_tree(value):
@@ -371,6 +392,7 @@ def main(argv=None) -> int:
                "landscape": cmd_landscape, "moments": cmd_moments,
                "kraus-dump": cmd_kraus_dump}[args.command]
     try:
+        _check_out(args.out)  # before any work; _emit's open may still fail
         command(args)
     except (ValueError, MemoryError, OSError) as exc:
         print(f"jcpulse: error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -173,7 +173,7 @@ def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
     bracket = (1 + 4 * square) * s2 - 2 * vartheta * c2 + sign * 4 * vartheta * (1 - c2)
     first_order = bracket / (16.0 * n_mean)
     if not math.isfinite(first_order):
-        raise ValueError(f"the 1/N term at vartheta={vartheta!r}, N={n_mean!r} "
+        raise ValueError(f"the 1/N term at vartheta={_in_units_of_pi(vartheta)}, N={n_mean!r} "
                          "is not a finite float")
     return 0.5 * (1 - s2) + first_order
 
@@ -190,9 +190,14 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
     amp = theta - math.cos(2.0 * midpoint) * math.sin(theta)
     value = amp * amp / (4.0 * n_mean)
     if not math.isfinite(value):
-        raise ValueError(f"the 1/N term at midpoint={midpoint!r}, theta={theta!r}, "
-                         f"N={n_mean!r} is not a finite float")
+        raise ValueError(f"the 1/N term at midpoint={_in_units_of_pi(midpoint)}, "
+                         f"theta={_in_units_of_pi(theta)}, N={n_mean!r} is not a finite float")
     return value
+
+
+def _in_units_of_pi(angle: float) -> str:
+    """An angle in the command line's units, e.g. ``1e+20*pi`` for 1e20 pi rad."""
+    return f"{angle / math.pi:.12g}*pi"
 
 
 def error_pair(control: ControlSpec) -> tuple:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,11 +37,11 @@ MAX_LEVELS = 2 ** 24
 class FieldState:
     """Amplitudes C_n of a pure field state on a contiguous number window.
 
-    Amplitudes are stored as log-magnitudes; the phases arg C_n =
-    n*coherent_phase mod 2 pi are built on first access of ``phase``,
-    which only the complex views (``amplitudes``, ``amplitude`` and the
-    JSON dump) read.  Every C_n outside [n_offset, n_max] is zero.
-    Instances are immutable and safe to share between threads.
+    Only the log-magnitudes log|C_n| are stored.  The phases arg C_n =
+    n*coherent_phase mod 2 pi are built by the JSON dump alone; every
+    evaluation factors them out (see jc_channel.KrausSet).  Every C_n
+    outside [n_offset, n_max] is zero.  Instances are immutable and safe
+    to share between threads.
     """
 
     n_offset: int
@@ -56,13 +55,6 @@ class FieldState:
         object.__setattr__(self, "log_magnitude",
                            np.asarray(self.log_magnitude, dtype=float))
         self.log_magnitude.flags.writeable = False
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        """Phases arg C_n = n*coherent_phase mod 2 pi over the stored window."""
-        phase = np.mod(self.photon_numbers() * self.coherent_phase, TWO_PI)
-        phase.flags.writeable = False
-        return phase
 
     @property
     def size(self) -> int:
@@ -80,27 +72,17 @@ class FieldState:
         """Photon numbers n covered by the stored window."""
         return np.arange(self.n_offset, self.n_offset + self.size)
 
-    def amplitudes(self) -> np.ndarray:
-        """Complex amplitudes C_n over the stored window."""
-        return np.exp(self.log_magnitude + 1j * self.phase)
-
     def probabilities(self) -> np.ndarray:
         """Occupation probabilities |C_n|^2 over the stored window."""
         return np.exp(2.0 * self.log_magnitude)
 
-    def amplitude(self, n: int) -> complex:
-        """Single amplitude C_n; zero outside the stored window."""
-        if n < self.n_offset or n > self.n_max:
-            return 0.0 + 0.0j
-        i = n - self.n_offset
-        return complex(np.exp(self.log_magnitude[i] + 1j * self.phase[i]))
-
     def to_json_dict(self) -> dict:
-        """Serializable form used by the ``kraus-dump`` CLI diagnostic."""
+        """Serializable form used by the ``kraus-dump`` CLI diagnostic; ``phase``
+        lists arg C_n = n*coherent_phase mod 2 pi over the stored window."""
         return {
             "n_offset": int(self.n_offset),
             "magnitudes-log": self.log_magnitude.tolist(),
-            "phase": self.phase.tolist(),
+            "phase": np.mod(self.photon_numbers() * self.coherent_phase, TWO_PI).tolist(),
             "N": float(self.mean_photon_number),
             "tail_mass": float(self.tail_mass),
         }

@@ -27,8 +27,9 @@ error is a diagonal entry, the weight sum_n |w^T M_n v|^2, projected term by
 term as a sum of squares, so an O(1/N) error is never the difference of
 O(1) sums: each piece's sum is pairwise and the pieces' sums are combined by
 ``math.fsum``.  The channel goes through the real 4x4 transfer matrix
-sum_n R_n (x) R_n, the Gram of the four entry columns.  The complex M_n are
-built whole on demand, for the dump and the completeness check only.
+sum_n R_n (x) R_n, the Gram of the four entry columns, and so does the
+completeness residual.  No complex M_n is built: the ``kraus-dump`` rows
+multiply each entry of R_n by the phase of its own coefficient.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
+from .fock_field import DEFAULT_TAIL_TOL, TWO_PI, FieldState, make_coherent
 
 #: Levels per piece of the Kraus index walked by ``KrausSet.grams``.
 CHUNK_LEVELS = 2 ** 14
@@ -110,10 +111,10 @@ class KrausSet:
                [ -|C_{n-1}| sin(k sqrt(n)),  |C_n| cos(k sqrt(n)) ]].
 
     The set stores no R_n: ``grams`` builds them piece by piece each time it
-    walks the index.  ``transfer``, the channel's real 4x4 Liouville form,
-    and ``operators``, the complex M_n of shape (K, 2, 2), are built on
-    first access.  Immutable after construction; safe to share across
-    threads.
+    walks the index.  ``transfer``, the channel's real 4x4 Liouville form, is
+    built on first access.  No complex M_n is built; ``to_json_rows`` writes
+    their entries from the R_n.  Immutable after construction; safe to share
+    across threads.
     """
 
     field: FieldState
@@ -123,9 +124,6 @@ class KrausSet:
 
     def __len__(self) -> int:
         return self.count
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_start, self.n_start + self.count)
 
     def frame(self) -> np.ndarray:
         """Diagonal of D = diag(e^{i(phi - pi/2)}, 1) for the field's coherent phase phi."""
@@ -206,24 +204,37 @@ class KrausSet:
         transfer.flags.writeable = False
         return transfer
 
-    @cached_property
-    def operators(self) -> np.ndarray:
-        """The complex M_n of shape (K, 2, 2), from the stored amplitudes C_n."""
-        coeffs = _neighbourhood(self.field.amplitudes(), self.field.n_offset, self.n_start,
-                                self.count, 0.0)
-        ops = _entries(coeffs, self.n_start, self.count, self.pulse.kappa, -1j, -1j)
-        ops = np.ascontiguousarray(ops.transpose(2, 0, 1))
-        ops.flags.writeable = False
-        return ops
-
     def completeness_residual(self) -> float:
-        """Max-entry norm of sum_n M_n^dag M_n - I."""
-        gram = np.einsum("nji,njk->ik", self.operators.conj(), self.operators)
-        return float(np.max(np.abs(gram - np.eye(2))))
+        """Max-entry norm of sum_n M_n^dag M_n - I.
+
+        sum_n M_n^dag M_n = D (sum_n R_n^T R_n) D^dag, and D is a diagonal
+        unitary, so the norm is that of sum_n R_n^T R_n - I, whose [k, l]
+        entry is sum_i S[i, i, k, l] of ``transfer``.
+        """
+        transfer = self.transfer
+        return float(np.max(np.abs(transfer[0, 0] + transfer[1, 1] - np.eye(2))))
 
     def to_json_rows(self) -> list[dict]:
-        return [{"n": int(n), "M": [[float(z.real), float(z.imag)] for z in op.ravel()]}
-                for n, op in zip(self.indices(), self.operators)]
+        """One row {"n": n, "M": [[re, im] of M00, M01, M10, M11]} per level of the index.
+
+        Each entry of R_n is multiplied by the phase of its own coefficient:
+        e^{i n phi} on M00 and M11, -i e^{i(n+1) phi} on M01 and
+        +i e^{i(n-1) phi} on M10 (R_n[1, 0] carries the minus sign), each
+        angle m*phi reduced mod 2 pi.
+        """
+        rows = _real_rows(self.field, self.pulse.kappa, self.n_start, self.count,
+                          np.empty(7 * self.count + 4))
+        n = np.arange(self.n_start, self.n_start + self.count)
+
+        def phase(m):
+            return np.exp(1j * np.mod(m * self.field.coherent_phase, TWO_PI))
+
+        here = phase(n)
+        # Adding 0.0 turns the signed zeros of the products into +0.0.
+        entries = np.stack((rows[0, 0] * here, rows[0, 1] * (-1j * phase(n + 1)),
+                            rows[1, 0] * (1j * phase(n - 1)), rows[1, 1] * here), axis=1) + 0.0
+        return [{"n": m, "M": op} for m, op in
+                zip(n.tolist(), entries.view(float).reshape(self.count, 4, 2).tolist())]
 
 
 def _add_piece_sums(rows: np.ndarray, couplings: np.ndarray, acc: np.ndarray,
@@ -241,63 +252,36 @@ def _add_piece_sums(rows: np.ndarray, couplings: np.ndarray, acc: np.ndarray,
             acc[a, b] = np.multiply(cols[a], cols[b], out=product).sum()
 
 
-def _neighbourhood(values: np.ndarray, lo: int, start: int, count: int, fill,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """c_{start-1} .. c_{start+count} (count + 2 entries, into ``out`` if given),
-    where ``values[i]`` is c_{lo + i} and every other c_n is ``fill``."""
-    if out is None:
-        out = np.empty(count + 2, dtype=values.dtype)
-    out.fill(fill)
-    first = start - 1 - lo  # position of c_{start-1} in ``values``
-    a, b = max(first, 0), min(first + count + 2, len(values))
-    out[a - first:b - first] = values[a:b]
-    return out
-
-
-def _entries(coeffs: np.ndarray, start: int, count: int, kappa: float,
-             up_factor, down_factor, out: np.ndarray | None = None,
-             trig: np.ndarray | None = None) -> np.ndarray:
-    """Entry columns E[i, j] (shape (2, 2, count), into ``out`` if given) of
-
-        [[c_n cos(k sqrt(n+1)),  up_factor c_{n+1} sin(k sqrt(n+1))],
-         [down_factor c_{n-1} sin(k sqrt(n)),  c_n cos(k sqrt(n))]]
-
-    for n = start .. start + count - 1, where ``coeffs`` holds
-    c_{start-1} .. c_{start+count} (see ``_neighbourhood``).  cos and sin
-    are taken once of k sqrt(m), m = start .. start + count, into ``trig``
-    (shape (2, count + 1)) if given; the n+1 entries read that result
-    shifted by one.
-    """
-    cos, sin = np.empty((2, count + 1)) if trig is None else trig
-    np.sqrt(np.arange(start, start + count + 1, dtype=float), out=sin)
-    np.multiply(sin, kappa, out=sin)  # the angle k sqrt(m)
-    np.cos(sin, out=cos)
-    np.sin(sin, out=sin)
-    here = coeffs[1:count + 1]
-    if out is None:
-        out = np.empty((2, 2, count), dtype=np.result_type(coeffs, up_factor))
-    np.multiply(here, cos[1:], out=out[0, 0])
-    np.multiply(up_factor * coeffs[2:], sin[1:], out=out[0, 1])
-    np.multiply(down_factor * coeffs[:count], sin[:-1], out=out[1, 0])
-    np.multiply(here, cos[:-1], out=out[1, 1])
-    return out
-
-
 def _real_rows(field: FieldState, kappa: float, start: int, count: int,
                work: np.ndarray) -> np.ndarray:
     """Phase-free rows R_n (shape (2, 2, count)) for n = start .. start + count - 1,
     from the exp of just their own log-magnitudes.
 
     ``work`` is a flat buffer of at least 7 count + 4 floats: the rows are its
-    first 4 count, and the build's amplitudes and trig use the rest, which is
-    free again once the rows are returned.
+    first 4 count, and the build's magnitudes |C_{start-1}| .. |C_{start+count}|
+    and trig use the rest, which is free again once the rows are returned.
+    cos and sin are taken once of k sqrt(m), m = start .. start + count; the
+    n+1 entries read that result shifted by one.
     """
-    coeffs = _neighbourhood(field.log_magnitude, field.n_offset, start, count, -np.inf,
-                            work[4 * count:5 * count + 2])
-    np.exp(coeffs, out=coeffs)
-    return _entries(coeffs, start, count, kappa, 1.0, -1.0,
-                    out=work[:4 * count].reshape(2, 2, count),
-                    trig=work[5 * count + 2:7 * count + 4].reshape(2, count + 1))
+    rows = work[:4 * count].reshape(2, 2, count)
+    mags = work[4 * count:5 * count + 2]
+    cos, sin = work[5 * count + 2:7 * count + 4].reshape(2, count + 1)
+    mags.fill(-np.inf)  # log|C_n| = -inf outside the field window
+    first = start - 1 - field.n_offset  # position of C_{start-1} in field.log_magnitude
+    a, b = max(first, 0), min(first + count + 2, field.size)
+    mags[a - first:b - first] = field.log_magnitude[a:b]
+    np.exp(mags, out=mags)
+    np.sqrt(np.arange(start, start + count + 1, dtype=float), out=sin)
+    np.multiply(sin, kappa, out=sin)  # the angle k sqrt(m)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    here = mags[1:count + 1]
+    np.multiply(here, cos[1:], out=rows[0, 0])
+    np.multiply(mags[2:], sin[1:], out=rows[0, 1])
+    np.multiply(mags[:count], sin[:-1], out=rows[1, 0])
+    np.negative(rows[1, 0], out=rows[1, 0])
+    np.multiply(here, cos[:-1], out=rows[1, 1])
+    return rows
 
 
 def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import QubitState, build_kraus
+from .jc_channel import build_kraus
 from .error_metrics import (
     ControlSpec,
     error_pair,
@@ -49,7 +49,6 @@ class SequenceReport:
     cumulative_exact: float
     cumulative_mixture: float
     cumulative_asymptote: float
-    final_state: QubitState
     target_angles: tuple[float, ...]
     per_step_mixture: tuple[float, ...]
     per_step_asymptote: tuple[float, ...]
@@ -126,13 +125,11 @@ def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
         mixtures.append(mixture)
         asymptotes.append(asymptote)
 
-    basis = frames[-1][:len(sigma)]
     return SequenceReport(
         per_step_error=tuple(per_step),
         cumulative_exact=per_step[-1] if per_step else 0.0,
         cumulative_mixture=mixture,
         cumulative_asymptote=asymptote,
-        final_state=QubitState(rho=basis.T @ sigma @ basis),
         target_angles=tuple(angles[1:]),
         per_step_mixture=tuple(mixtures),
         per_step_asymptote=tuple(asymptotes),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from jcpulse import ErrorReport, KrausSet, QubitState
+from jcpulse import ErrorReport, FieldState, KrausSet, QubitState
 from jcpulse.error_metrics import _report, error_pair
 from jcpulse.jc_channel import CHUNK_LEVELS, _real_rows
 
@@ -27,11 +27,43 @@ def validate(state: QubitState, atol: float = 1e-12) -> None:
         raise ValueError(f"density matrix not PSD: min eigenvalue {eigs.min():.3e}")
 
 
+def amplitude(field: FieldState, n):
+    """C_n = exp(log|C_n| + i (n phi mod 2 pi)) for an int n (a complex) or an
+    array of n; zero outside the field window."""
+    n = np.asarray(n)
+    inside = (n >= field.n_offset) & (n <= field.n_max)
+    log_mag = np.where(inside, field.log_magnitude[np.clip(n - field.n_offset, 0, field.size - 1)],
+                       -np.inf)
+    amp = np.exp(log_mag + 1j * np.mod(n * field.coherent_phase, 2.0 * math.pi))
+    return amp if amp.ndim else complex(amp)
+
+
+def complex_operators(kraus: KrausSet) -> np.ndarray:
+    """The complex M_n of shape (K, 2, 2) over the whole index, each entry built
+    from the complex amplitudes by the pattern in the jc_channel docstring: an
+    independent reference for the library's phase-free rows."""
+    n = np.arange(kraus.n_start, kraus.n_start + len(kraus))
+    angle_up, angle = kraus.pulse.kappa * np.sqrt(n + 1.0), kraus.pulse.kappa * np.sqrt(n)
+    here = amplitude(kraus.field, n)
+    ops = np.empty((len(n), 2, 2), dtype=complex)
+    ops[:, 0, 0] = here * np.cos(angle_up)
+    ops[:, 0, 1] = -1j * amplitude(kraus.field, n + 1) * np.sin(angle_up)
+    ops[:, 1, 0] = -1j * amplitude(kraus.field, n - 1) * np.sin(angle)
+    ops[:, 1, 1] = here * np.cos(angle)
+    return ops
+
+
+def dumped_operators(kraus: KrausSet) -> np.ndarray:
+    """The M_n of ``kraus.to_json_rows()`` as a complex array of shape (K, 2, 2)."""
+    entries = np.array([row["M"] for row in kraus.to_json_rows()]).reshape(-1, 2, 2, 2)
+    return entries[..., 0] + 1j * entries[..., 1]
+
+
 def operator(kraus: KrausSet, n: int) -> np.ndarray:
-    """M_n; zero matrix outside the built index range."""
+    """M_n as ``kraus.to_json_rows()`` writes it; zero matrix outside the built index range."""
     if n < kraus.n_start or n >= kraus.n_start + len(kraus):
         return np.zeros((2, 2), dtype=complex)
-    return kraus.operators[n - kraus.n_start]
+    return dumped_operators(kraus)[n - kraus.n_start]
 
 
 def whole_rows(kraus: KrausSet) -> np.ndarray:
@@ -74,7 +106,7 @@ def whole_window_reports(controls, kraus: KrausSet) -> tuple[ErrorReport, ...]:
 def phase_free_operators(kraus: KrausSet) -> np.ndarray:
     """D R_n D^dag = e^{-i n phi} M_n, shape (K, 2, 2), from the rows.
 
-    The dropped phase cancels in every M_n rho M_n^dag.  ``kraus.operators``
+    The dropped phase cancels in every M_n rho M_n^dag.  ``complex_operators``
     carries it rounded: n*phi mod 2 pi loses about eps*n*phi, which moves a
     sandwich summed over N ~ 1e4 levels by up to about 1.6e-15.
     """

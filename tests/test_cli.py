@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -140,14 +141,56 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err.strip()
+        if argv == ("sweep", "--n-min", "1e-296", "--theta", "1e20", "--points", "2"):
+            # An angle in a diagnostic is echoed in the units it was typed in.
+            assert "theta=1e+20*pi" in err
 
     @pytest.mark.parametrize("target", ["missing/sweep.csv", ""],
                              ids=["missing-directory", "directory"])
-    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+    def test_unwritable_out_exits_two(self, capsys, monkeypatch, tmp_path, target):
+        # The target is checked before the command computes anything.
+        calls = []
+        monkeypatch.setattr(cli, "make_coherent", lambda *a, **k: calls.append(a))
         code, out, err = run_cli(capsys, "sweep", "--n-min", "10", "--n-max", "100",
                                  "--points", "2", "--out", str(tmp_path / target))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("jcpulse: error:")
+        assert calls == []
+        assert not any(tmp_path.iterdir())
+
+    def test_out_in_unwritable_directory_exits_two(self, capsys, monkeypatch, tmp_path):
+        # Root may write to any directory, so the permission check is faked.
+        monkeypatch.setattr(cli.os, "access", lambda *a, **k: False)
+        code, out, err = run_cli(capsys, "sweep", "--points", "2",
+                                 "--out", str(tmp_path / "sweep.csv"))
+        assert code == 2 and out == ""
+        assert err == f"jcpulse: error: [Errno 13] Permission denied: '{tmp_path / 'sweep.csv'}'\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_out_to_writable_file_in_unwritable_directory(self, capsys, monkeypatch,
+                                                          tmp_path):
+        # An existing file opens for writing without write access to its directory
+        # (as /dev/null does for any user), so only the file's own access counts.
+        target = tmp_path / "sweep.csv"
+        target.write_text("")
+        access = os.access
+        monkeypatch.setattr(cli.os, "access",
+                            lambda p, mode: p != str(tmp_path) and access(p, mode))
+        code, out, _ = run_cli(capsys, "sweep", "--n-min", "10", "--n-max", "100",
+                               "--points", "2", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text().startswith("N,P_exact")
+
+    def test_out_to_read_only_file_exits_two(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "sweep.csv"
+        target.write_text("kept")
+        access = os.access
+        monkeypatch.setattr(cli.os, "access",
+                            lambda p, mode: p != str(target) and access(p, mode))
+        code, out, err = run_cli(capsys, "sweep", "--points", "2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"jcpulse: error: [Errno 13] Permission denied: '{target}'\n"
+        assert target.read_text() == "kept"
 
 
 @pytest.mark.parametrize("argv", [

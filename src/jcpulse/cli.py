@@ -2,8 +2,8 @@
 
 All angles on the command line are given in units of pi (0.25 means
 pi/4).  Output is deterministic: fixed row order, floats printed with 12
-significant digits (the operator entries of ``kraus-dump --format json``
-rows carry full precision), no randomness anywhere (--seed is accepted for
+significant digits (the arrays of ``kraus-dump --format json``, rows and
+field, carry full precision), no randomness anywhere (--seed is accepted for
 interface stability only).
 """
 
@@ -107,10 +107,9 @@ def _check_out(path: str | None) -> None:
 
 
 def _json_value_tree(value):
+    """Scalars at 12 digits (``_json_value``); lists, the field's arrays, at full precision."""
     if isinstance(value, dict):
         return {k: _json_value_tree(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_value_tree(v) for v in value]
     return _json_value(value)
 
 

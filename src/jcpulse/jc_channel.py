@@ -26,10 +26,10 @@ amplitude columns w^T M_n v to their Gram matrix sum_n a_i conj(a_j).  An
 error is a diagonal entry, the weight sum_n |w^T M_n v|^2, projected term by
 term as a sum of squares, so an O(1/N) error is never the difference of
 O(1) sums: each piece's sum is pairwise and the pieces' sums are combined by
-``math.fsum``.  The channel goes through the real 4x4 transfer matrix
-sum_n R_n (x) R_n, the Gram of the four entry columns, and so does the
-completeness residual.  No complex M_n is built: the ``kraus-dump`` rows
-multiply each entry of R_n by the phase of its own coefficient.
+``math.fsum``.  Every state update is one ``frame_step`` through such a Gram;
+the channel's, like the completeness residual, reads ``KrausSet.unit_gram``,
+that of the four entries of R_n.  No complex M_n is built: the ``kraus-dump``
+rows multiply each entry of R_n by the phase of its own coefficient.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ CHUNK_LEVELS = 2 ** 14
 
 @dataclass(frozen=True)
 class QubitState:
-    """2x2 density matrix in the (excited, ground) basis."""
+    """2x2 density matrix in the (excited, ground) basis; holds a read-only copy."""
 
     rho: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=complex))
+        object.__setattr__(self, "rho", np.array(self.rho, dtype=complex))
         if self.rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got {self.rho.shape}")
         self.rho.flags.writeable = False
@@ -111,10 +111,10 @@ class KrausSet:
                [ -|C_{n-1}| sin(k sqrt(n)),  |C_n| cos(k sqrt(n)) ]].
 
     The set stores no R_n: ``grams`` builds them piece by piece each time it
-    walks the index.  ``transfer``, the channel's real 4x4 Liouville form, is
-    built on first access.  No complex M_n is built; ``to_json_rows`` writes
-    their entries from the R_n.  Immutable after construction; safe to share
-    across threads.
+    walks the index.  ``unit_gram``, the Gram of the four entries of R_n
+    that the channel steps with, is built on first access.  No complex M_n
+    is built; ``to_json_rows`` writes their entries from the R_n.  Immutable
+    after construction; safe to share across threads.
     """
 
     field: FieldState
@@ -191,28 +191,23 @@ class KrausSet:
         return out
 
     @cached_property
-    def transfer(self) -> np.ndarray:
-        """Transfer matrix S[i, j, k, l] = sum_n R_n[i, k] R_n[j, l], shape (2, 2, 2, 2).
-
-        S is the real 4x4 Liouville form of X -> sum_n R_n X R_n^T:
-        (sum_n R_n X R_n^T)[i, j] = sum_kl S[i, j, k, l] X[k, l].  It is the
-        Gram of the four entry columns R_n[i, k] (the unit couplings),
-        reordered.
-        """
-        gram, = self.grams([np.eye(4).reshape(4, 2, 2)])
-        transfer = np.ascontiguousarray(gram.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3))
-        transfer.flags.writeable = False
-        return transfer
+    def unit_gram(self) -> np.ndarray:
+        """h[2k + a, 2l + b] = sum_n R_n[a, k] R_n[b, l], the real 4x4 Gram of the
+        unit couplings, in the order ``frame_step`` reads: the channel's step in
+        the frame D, sum_n R_n X R_n^T = frame_step(X, h)."""
+        gram, = self.grams([np.eye(4).reshape(4, 2, 2).transpose(0, 2, 1)])  # e_a e_k^T
+        gram.flags.writeable = False
+        return gram
 
     def completeness_residual(self) -> float:
         """Max-entry norm of sum_n M_n^dag M_n - I.
 
         sum_n M_n^dag M_n = D (sum_n R_n^T R_n) D^dag, and D is a diagonal
         unitary, so the norm is that of sum_n R_n^T R_n - I, whose [k, l]
-        entry is sum_i S[i, i, k, l] of ``transfer``.
+        entry is sum_a h[2k + a, 2l + a] of ``unit_gram``.
         """
-        transfer = self.transfer
-        return float(np.max(np.abs(transfer[0, 0] + transfer[1, 1] - np.eye(2))))
+        h = self.unit_gram
+        return float(np.max(np.abs(h[0::2, 0::2] + h[1::2, 1::2] - np.eye(2))))
 
     def to_json_rows(self) -> list[dict]:
         """One row {"n": n, "M": [[re, im] of M00, M01, M10, M11]} per level of the index.
@@ -300,16 +295,25 @@ def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
     return KrausSet(field=field, pulse=pulse, n_start=start, count=field.n_max + 2 - start)
 
 
+def frame_step(sigma: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """sum_kl sigma[k, l] H[(a, k), (b, l)] for each (a, b), H in gram[2k + a, 2l + b]: for
+    the Gram H of the columns b_a^T M_n u_k, a state in the frame (u_k) after the channel,
+    in the frame (b_a).  Each real and imaginary part is one math.fsum of its products."""
+    m = len(sigma)
+    terms = (sigma[:, None, :, None] * gram.reshape(m, 2, m, 2)).transpose(1, 3, 0, 2)
+    parts = zip(terms.real.reshape(4, -1).tolist(), terms.imag.reshape(4, -1).tolist())
+    return np.array([complex(math.fsum(re), math.fsum(im)) for re, im in parts]).reshape(2, 2)
+
+
 def apply_channel(rho: QubitState, kraus: KrausSet) -> QubitState:
     """CPTP map rho -> sum_n M_n rho M_n^dag = D (sum_n R_n (D^dag rho D) R_n^T) D^dag.
 
-    The photon-index sum is contracted once into ``kraus.transfer``, so a
-    call is O(1) after the first; repeated calls are bitwise identical.
+    The inner map is one ``frame_step`` with ``kraus.unit_gram``, summed over n
+    once, so a call is O(1) after the first; repeated calls are bitwise identical.
     """
     d = kraus.frame()
     inner = d.conj()[:, None] * rho.rho * d
-    out = np.einsum("ijkl,kl->ij", kraus.transfer, inner)
-    return QubitState(rho=d[:, None] * out * d.conj())
+    return QubitState(rho=d[:, None] * frame_step(inner, kraus.unit_gram) * d.conj())
 
 
 def bloch_rotation(vartheta: float) -> np.ndarray:

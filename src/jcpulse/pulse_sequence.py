@@ -5,11 +5,12 @@ step mixed) and the next step starts with an independent copy, so errors
 accumulate open-loop: targets are the running classical Bloch states and
 are never used to correct later pulses.
 
-Alongside the exact cumulative error the report carries two cheaper
+Alongside the exact error after each step the report carries two
 estimates: a two-branch statistical-mixture composition of per-step
 pure-state errors (exact up to the O(1/N^2) coherence it discards, valid
 when each step's population bias is suppressed, hence the bias-free
-default), and the plain sum of the per-step leading 1/N terms.
+default), read from the same Grams as the exact error, and the plain sum
+of the per-step leading 1/N terms.
 
 The running state is carried in the frame of its current target and that
 target's orthogonal complement, where its O(1/N) entries are sums of
@@ -30,10 +31,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import build_kraus
+from .jc_channel import build_kraus, frame_step
 from .error_metrics import (
     ControlSpec,
-    error_pair,
     error_rate_exact,
     landscape_asymptote,
     orthogonal_target,
@@ -43,30 +43,17 @@ from .error_metrics import (
 
 @dataclass(frozen=True)
 class SequenceReport:
-    """Per-step and cumulative errors of one sequence run."""
+    """Errors of one sequence run after each step; the last entries are cumulative."""
 
     per_step_error: tuple[float, ...]
-    cumulative_exact: float
-    cumulative_mixture: float
-    cumulative_asymptote: float
     target_angles: tuple[float, ...]
     per_step_mixture: tuple[float, ...]
     per_step_asymptote: tuple[float, ...]
 
 
 class SequenceComparison(NamedTuple):
-    two_step: float
     single_N: float
     single_2N: float
-
-
-def _step(sigma: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """sum_kl sigma[k, l] H[(a, k), (b, l)] for each (a, b), where gram[2k + a, 2l + b]
-    holds H; each real and imaginary part is one math.fsum of its products."""
-    m = len(sigma)
-    terms = (sigma[:, None, :, None] * gram.reshape(m, 2, m, 2)).transpose(1, 3, 0, 2)
-    return np.array([[complex(math.fsum(t.real.ravel()), math.fsum(t.imag.ravel()))
-                      for t in row] for row in terms])
 
 
 def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
@@ -88,37 +75,29 @@ def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
 
     # One pass per distinct pulse.  Step i's Gram has the columns
     # b_a^T M_n u_k (u = frames[i], b = frames[i + 1]) in the order 2k + a;
-    # step 1 starts from u_0 alone.  Its (k, a) = (0, 1) entry is the error
-    # of the branch that follows, and a second group holds the error of the
-    # leaked branch, which starts on the previous orthogonal target.
-    grams, leaked = [None] * len(steps), [None] * len(steps)
+    # step 1 starts from u_0 alone.
+    grams = {}
     for pulse in dict.fromkeys(pulses):
         kraus = build_kraus(field, pulse)
         mine = [i for i, p in enumerate(pulses) if p == pulse]
-        groups = []
-        for i in mine:
-            starts = frames[i][:1] if i == 0 else frames[i]
-            groups.append([kraus.coupling(b, u) for u in starts for b in frames[i + 1]])
-            groups.append([kraus.coupling(*error_pair(ControlSpec(angles[i] + math.pi / 2,
-                                                                  steps[i])))])
-        results = kraus.grams(groups)
-        for i, gram, leak in zip(mine, results[::2], results[1::2]):
-            grams[i], leaked[i] = gram, float(leak[0, 0].real)
+        groups = [[kraus.coupling(b, u) for u in (frames[i][:1] if i == 0 else frames[i])
+                   for b in frames[i + 1]] for i in mine]
+        grams.update(zip(mine, kraus.grams(groups)))
 
     sigma = np.ones((1, 1))  # the start u_0 = R(theta0)|0> in the frame (u_0)
     mixture = 0.0
     asymptote = 0.0
     per_step, mixtures, asymptotes = [], [], []
     for i, theta in enumerate(steps):
-        sigma = _step(sigma, grams[i])
+        sigma = frame_step(sigma, grams[i])
         per_step.append(min(max(float(sigma[1, 1].real), 0.0), 1.0))
 
-        # Two-branch mixture: the faithful branch sits on the previous
-        # target, the leaked branch on its orthogonal complement; the
-        # leaked branch reaches the new target exactly when it fails to
-        # follow its own rotation.
+        # Two-branch mixture: the faithful branch starts on u_0 and errs into
+        # b_1, the (k, a) = (0, 1) entry; the leaked branch starts on u_1 and
+        # fails to follow its rotation into the new target b_0, the (1, 0)
+        # entry.  Step 1 has no leaked branch.
         p_follow = min(float(grams[i][1, 1].real), 1.0)
-        p_leaked = min(leaked[i], 1.0)
+        p_leaked = min(float(grams[i][2, 2].real), 1.0) if i else 0.0
         mixture = p_follow * (1.0 - mixture) + (1.0 - p_leaked) * mixture
 
         asymptote += landscape_asymptote(angles[i] + 0.5 * theta, theta, n_mean)
@@ -127,9 +106,6 @@ def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
 
     return SequenceReport(
         per_step_error=tuple(per_step),
-        cumulative_exact=per_step[-1] if per_step else 0.0,
-        cumulative_mixture=mixture,
-        cumulative_asymptote=asymptote,
         target_angles=tuple(angles[1:]),
         per_step_mixture=tuple(mixtures),
         per_step_asymptote=tuple(asymptotes),
@@ -141,7 +117,8 @@ def compare_sequence_vs_single(theta0: float, n_mean: float, *, mode: str = "bia
                                ) -> tuple[SequenceReport, SequenceComparison]:
     """Split a full flip into two pi/4 steps with budget N each; compare one flip with N or 2N.
 
-    Returns the two-step run's report and the comparison.  The half
+    Returns the two-step run's report, whose ``per_step_error[-1]`` is the
+    split flip's error, and the errors of the single flips.  The half
     rotations and the N flip share one field; the 2N flip builds its own.
     """
     field = make_coherent(n_mean, tail_tol=tail_tol)
@@ -153,4 +130,4 @@ def compare_sequence_vs_single(theta0: float, n_mean: float, *, mode: str = "bia
         pulse = resolve_pulse("quarter-pi", flip_field.mean_photon_number, base=math.pi / 2,
                               start_angle=theta0)
         singles.append(error_rate_exact(control, flip_field, pulse))
-    return report, SequenceComparison(report.cumulative_exact, *singles)
+    return report, SequenceComparison(*singles)

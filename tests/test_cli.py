@@ -275,8 +275,8 @@ class TestSequenceCommand:
                                "--mode", mode, "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
-        _, comparison = compare_sequence_vs_single(START_ANGLES[start], 2000.0, mode=mode)
-        assert rows[1]["P_exact"] == as_printed(comparison.two_step)
+        report, comparison = compare_sequence_vs_single(START_ANGLES[start], 2000.0, mode=mode)
+        assert rows[1]["P_exact"] == as_printed(report.per_step_error[-1])
         for row in rows:
             assert row["single_N"] == as_printed(comparison.single_N)
             assert row["single_2N"] == as_printed(comparison.single_2N)
@@ -369,6 +369,20 @@ class TestKrausDump:
         ops = {row["n"]: row["M"] for row in payload["rows"]}
         assert ops[0][0] == [pytest.approx(math.cos(0.7)), 0.0]
         assert ops[1][2] == [0.0, pytest.approx(-math.sin(0.7))]
+
+    def test_json_field_rebuilds_the_rows(self, capsys):
+        # At phi = 0, M00 = |C_n| cos(kappa sqrt(n+1)); both the dumped
+        # log-magnitudes and the rows carry full precision.
+        code, out, _ = run_cli(capsys, "kraus-dump", "--n", "100", "--kappa", "0.1",
+                               "--phi", "0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        offset, logs = payload["field"]["n_offset"], payload["field"]["magnitudes-log"]
+        for row in payload["rows"]:
+            index = row["n"] - offset
+            if 0 <= index < len(logs):
+                m00 = math.exp(logs[index]) * math.cos(0.1 * math.sqrt(row["n"] + 1))
+                assert row["M"][0] == [pytest.approx(m00, rel=2e-15, abs=0.0), 0.0]
 
     def test_coherent_csv_table(self, capsys):
         code, out, err = run_cli(capsys, "kraus-dump", "--n", "25", "--vartheta", "0.25")

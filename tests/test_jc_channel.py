@@ -56,6 +56,13 @@ class TestQubitState:
         assert np.allclose(QubitState.ground().rho, np.diag([0.0, 1.0]))
         assert np.allclose(QubitState.excited().rho, np.diag([1.0, 0.0]))
 
+    def test_copies_the_callers_matrix(self):
+        a = np.eye(2, dtype=complex) / 2
+        state = QubitState(rho=a)
+        a[0, 0] = 1.0
+        assert np.array_equal(state.rho, np.eye(2) / 2)
+        assert not state.rho.flags.writeable
+
 
 class TestKrausStructure:
     def test_vacuum_field_operators(self):

@@ -47,31 +47,31 @@ class TestTwoStepAccumulation:
     def test_ground_start_matches_doubled_semiclassical(self):
         n_mean = 1e4
         report = two_step(0.0, n_mean)
-        assert n_mean * report.cumulative_exact == pytest.approx(
+        assert n_mean * report.per_step_error[-1] == pytest.approx(
             (PI ** 2 + 4) / 32, rel=0.05)
 
     def test_plus_start(self):
         n_mean = 1e4
         report = two_step(QUARTER_PI, n_mean)
-        assert n_mean * report.cumulative_exact == pytest.approx(
+        assert n_mean * report.per_step_error[-1] == pytest.approx(
             (PI + 2) ** 2 / 32, rel=0.05)
 
     def test_threequarter_start(self):
         n_mean = 1e4
         report = two_step(3 * QUARTER_PI, n_mean)
-        assert n_mean * report.cumulative_exact == pytest.approx(
+        assert n_mean * report.per_step_error[-1] == pytest.approx(
             (PI - 2) ** 2 / 32, rel=0.07)
 
     def test_flip_equivalence_of_pole_starts(self):
         n_mean = 1e4
         ground = two_step(0.0, n_mean)
         excited = two_step(PI / 2, n_mean)
-        assert ground.cumulative_asymptote == pytest.approx(
+        assert ground.per_step_asymptote[-1] == pytest.approx(
             (PI ** 2 + 4) / (32 * n_mean), rel=1e-12, abs=0)
-        assert excited.cumulative_asymptote == pytest.approx(
+        assert excited.per_step_asymptote[-1] == pytest.approx(
             (PI ** 2 + 4) / (32 * n_mean), rel=1e-12, abs=0)
-        assert ground.cumulative_exact == pytest.approx(
-            excited.cumulative_exact, rel=0.05)
+        assert ground.per_step_error[-1] == pytest.approx(
+            excited.per_step_error[-1], rel=0.05)
 
     @pytest.mark.parametrize("n_mean", [1e4, 1e6, 1e8])
     @pytest.mark.parametrize("start", [0.0, QUARTER_PI, PI / 2, 3 * QUARTER_PI],
@@ -86,7 +86,6 @@ class TestTwoStepAccumulation:
     def test_report_shapes(self):
         report = two_step(0.0, 1e3)
         assert len(report.per_step_error) == 2
-        assert report.cumulative_exact == report.per_step_error[-1]
         assert report.target_angles == (QUARTER_PI, PI / 2)
         assert len(report.per_step_mixture) == len(report.per_step_asymptote) == 2
 
@@ -95,14 +94,14 @@ class TestTwoStepAccumulation:
 class TestMixtureComposition:
     def test_mixture_tracks_exact(self):
         report = two_step(0.0, 1e4)
-        assert report.cumulative_mixture == pytest.approx(
-            report.cumulative_exact, rel=1e-3)
+        assert report.per_step_mixture[-1] == pytest.approx(
+            report.per_step_error[-1], rel=1e-3)
 
     def test_mixture_discrepancy_vanishes_in_n(self):
         gaps = []
         for n_mean in (1e3, 1e4):
             report = two_step(0.0, n_mean)
-            gaps.append(abs(report.cumulative_exact - report.cumulative_mixture) * n_mean)
+            gaps.append(abs(report.per_step_error[-1] - report.per_step_mixture[-1]) * n_mean)
         assert gaps[1] < gaps[0] / 3
 
     @pytest.mark.parametrize("start,mode", [
@@ -136,7 +135,7 @@ class TestMixtureComposition:
 
 class TestSequenceInvariants:
     def test_monotone_photon_budget(self):
-        values = [two_step(0.0, n_mean).cumulative_exact
+        values = [two_step(0.0, n_mean).per_step_error[-1]
                   for n_mean in (1e3, 3e3, 1e4, 3e4)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -144,28 +143,27 @@ class TestSequenceInvariants:
         first = two_step(0.0, 1e3)
         second = two_step(0.0, 1e3)
         assert first.per_step_error == second.per_step_error
-        assert first.cumulative_mixture == second.cumulative_mixture
+        assert first.per_step_mixture[-1] == second.per_step_mixture[-1]
         assert first == second
 
 
 class TestSingleVsSplit:
     def test_ground_start_ordering(self):
-        _, result = compare_sequence_vs_single(0.0, 1e4)
-        assert result.single_2N < result.two_step < result.single_N
+        report, result = compare_sequence_vs_single(0.0, 1e4)
+        assert result.single_2N < report.per_step_error[-1] < result.single_N
 
     def test_equatorial_start_energy_equivalence(self):
-        _, result = compare_sequence_vs_single(QUARTER_PI, 1e4)
-        assert result.two_step == pytest.approx(result.single_2N, rel=0.10)
+        report, result = compare_sequence_vs_single(QUARTER_PI, 1e4)
+        assert report.per_step_error[-1] == pytest.approx(result.single_2N, rel=0.10)
 
     def test_large_budget_consistency(self):
-        _, result = compare_sequence_vs_single(0.0, 1e5)
-        assert max(result) <= 1e-4
+        report, result = compare_sequence_vs_single(0.0, 1e5)
+        assert max(report.per_step_error[-1], *result) <= 1e-4
 
     def test_comparison_runs_the_two_step_sequence(self):
         report, comparison = compare_sequence_vs_single(QUARTER_PI, 1e3, mode="bias-free")
         assert report.per_step_error == two_step(QUARTER_PI, 1e3).per_step_error
         assert comparison == compare_sequence_vs_single(QUARTER_PI, 1e3)[1]
-        assert comparison.two_step == report.cumulative_exact
 
     def test_comparison_shares_the_budget_n_field(self, monkeypatch):
         built = {"fields": 0, "kraus": 0}

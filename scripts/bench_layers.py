@@ -9,10 +9,11 @@ Each layer is timed separately at N = 1e6 and N = 1e8 against a coherent
 field of phase pi/2 and the quarter-pi pulse:
 
 - ``make_coherent``: the field window;
-- ``error_report``: one control from the ground pole, the pass over the
-  pulse's Kraus index included (what ``sweep`` runs per point);
+- ``error_report``: one control from the ground pole, one coupling column,
+  the pass over the pulse's Kraus index included (``sweep`` runs two
+  columns per point: its control and the twin behind ``delta``);
 - ``error_report_table2``: table2's eight controls (four start altitudes,
-  each turned by pi/4 and by pi/2) batched on the one pulse;
+  each turned by pi/4 and by pi/2) batched on the one pulse, one column each;
 - ``apply_channel``: the ground state through a freshly built Kraus set,
   so that work a Kraus set builds on its first use is counted;
 - ``run_sequence``: two pi/4 steps from the ground pole on a built field.

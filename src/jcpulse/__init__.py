@@ -27,8 +27,8 @@ from .jc_channel import (
 from .error_metrics import (
     PULSE_MODES,
     ControlSpec,
-    ErrorReport,
     OptimalAngles,
+    asymptote,
     asymptotic_p,
     error_rate_exact,
     error_report,
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_TAIL_TOL",
     "PULSE_MODES",
     "ControlSpec",
-    "ErrorReport",
     "FieldState",
     "KrausSet",
     "OptimalAngles",
@@ -58,6 +57,7 @@ __all__ = [
     "SequenceComparison",
     "SequenceReport",
     "apply_channel",
+    "asymptote",
     "asymptotic_p",
     "bloch_rotation",
     "build_kraus",

@@ -32,8 +32,8 @@ from .fock_field import (
     make_number_state,
 )
 from .jc_channel import PulseSpec, build_kraus
-from .error_metrics import (PULSE_MODES, ControlSpec, error_report, landscape_asymptote,
-                            resolve_pulse)
+from .error_metrics import (PULSE_MODES, ControlSpec, asymptote, error_report, gea_banacloche,
+                            landscape_asymptote, ozawa_bound, resolve_pulse)
 from .pulse_sequence import compare_sequence_vs_single
 
 START_ANGLES = {
@@ -123,6 +123,8 @@ def _photon_number(value: float, name: str) -> float:
 
 
 def cmd_sweep(args) -> None:
+    """One row per N.  delta reads the twin ControlSpec(theta0, -theta0) from the same
+    error_report: its target is R(0)|0> = |0>, so its error is the population on |1>."""
     n_min = _photon_number(args.n_min, "--n-min")
     n_max = _photon_number(args.n_max, "--n-max")
     if n_min > n_max:
@@ -138,22 +140,22 @@ def cmd_sweep(args) -> None:
     else:
         grid = np.linspace(n_min, n_max, args.points)
 
-    control = ControlSpec(args.theta0, args.theta)
+    control, twin = ControlSpec(args.theta0, args.theta), ControlSpec(args.theta0, -args.theta0)
     rows = []
     for n_mean in map(float, grid):
         pulse = resolve_pulse(args.vartheta_mode, n_mean, base=args.theta,
                               start_angle=args.theta0, vartheta=args.vartheta)
         # No name keeps the field, so the next point's is built without this one alive.
-        report, = error_report(
-            (control,), build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol), pulse))
+        exact, excited = error_report(
+            (control, twin), build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol), pulse))
         rows.append({
             "N": n_mean,
-            "P_exact": report.exact,
-            "P_asymptotic": report.asymptotic,
-            "gea_banacloche": report.gea_banacloche,
-            "ozawa_bound": report.ozawa_bound,
-            "delta": report.delta,
-            "vartheta_used": report.vartheta_used,
+            "P_exact": exact,
+            "P_asymptotic": asymptote(control, pulse.vartheta, n_mean),
+            "gea_banacloche": gea_banacloche(n_mean),
+            "ozawa_bound": ozawa_bound(n_mean),
+            "delta": abs(excited - math.sin(control.target_angle) ** 2),
+            "vartheta_used": pulse.vartheta,
         })
     _emit(args, rows, {
         "theta0": args.theta0 / math.pi, "theta": args.theta / math.pi,
@@ -173,9 +175,9 @@ def cmd_table2(args) -> None:
         kraus = build_kraus(field, resolve_pulse("quarter-pi", n_mean, base=theta))
         controls = tuple(ControlSpec(theta0, theta)
                          for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
-        for control, report in zip(controls, error_report(controls, kraus)):
+        for control, error in zip(controls, error_report(controls, kraus)):
             coeff = n_mean * landscape_asymptote(control.midpoint_altitude, theta, n_mean)
-            scaled = n_mean * report.exact
+            scaled = n_mean * error
             rows.append({
                 "theta0": control.theta0 / math.pi,
                 "theta": theta / math.pi,
@@ -215,13 +217,13 @@ def cmd_landscape(args) -> None:
     kraus = build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol),
                         resolve_pulse("quarter-pi", n_mean, base=args.theta))
     midpoints = [float(m) for m in np.linspace(0.0, math.pi / 2, args.grid)]
-    reports = error_report(tuple(ControlSpec(m - args.theta / 2, args.theta) for m in midpoints),
-                           kraus)
+    errors = error_report(tuple(ControlSpec(m - args.theta / 2, args.theta) for m in midpoints),
+                          kraus)
     rows = []
-    for midpoint, report in zip(midpoints, reports):
+    for midpoint, error in zip(midpoints, errors):
         rows.append({
             "Phi": midpoint / math.pi,
-            "N_times_P_exact": n_mean * report.exact,
+            "N_times_P_exact": n_mean * error,
             "N_times_asymptote": n_mean * landscape_asymptote(midpoint, args.theta, n_mean),
         })
     exact = [row["N_times_P_exact"] for row in rows]

@@ -5,6 +5,9 @@ orthogonal to the target after the pulse.  Controls rotate the pure state
 R(theta0)|0> toward R(theta0 + theta)|0>; the qubit phase is fixed to
 zero, so everything lives in the real plane of the Bloch sphere.
 
+``error_report`` returns only exact errors; the 1/N references
+(``asymptote``, ``gea_banacloche``, ``ozawa_bound``) are separate closed forms.
+
 Reference constants such as (pi +- 2)^2/64 are always computed from pi at
 runtime, never hard-coded as decimals.
 """
@@ -80,19 +83,6 @@ class OptimalAngles:
     n_mean: float
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """One control evaluated exactly plus its 1/N references."""
-
-    exact: float
-    asymptotic: float
-    gea_banacloche: float
-    ozawa_bound: float
-    delta: float
-    n_mean: float
-    vartheta_used: float
-
-
 def optimal_vartheta(n_mean: float) -> OptimalAngles:
     """Half pulse areas minimizing error or population bias at order 1/N.
 
@@ -151,8 +141,8 @@ def orthogonal_target(target_angle: float) -> np.ndarray:
 
 
 def error_rate_exact(control: ControlSpec, field: FieldState, pulse: PulseSpec) -> float:
-    """Exact error rate of one control against ``field`` (see error_report)."""
-    return error_report((control,), build_kraus(field, pulse))[0].exact
+    """Exact error P of one control against ``field``: error_report of one fresh pulse."""
+    return error_report((control,), build_kraus(field, pulse))[0]
 
 
 def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
@@ -200,56 +190,27 @@ def _in_units_of_pi(angle: float) -> str:
     return f"{angle / math.pi:.12g}*pi"
 
 
-def error_pair(control: ControlSpec) -> tuple:
-    """(w, v) whose weight sum_n |w^T M_n v|^2 is the control's error: the start
-    psi = R(theta0)|0> on perp = R(theta0 + theta)|1>."""
-    start = np.array([math.sin(control.theta0), math.cos(control.theta0)])
-    return orthogonal_target(control.target_angle), start
-
-
-def error_report(controls: tuple[ControlSpec, ...], kraus: KrausSet) -> tuple[ErrorReport, ...]:
-    """Evaluate each control exactly and attach all 1/N reference numbers.
-
-    All controls share one pass over the pulse's Kraus index
-    (KrausSet.grams).  P is the weight of ``error_pair(control)``, and
-    ``delta`` is the deviation of the excited-level population, the weight
-    of psi on |1>, from its target value sin^2(theta0 + theta).  ``n_mean``
-    and ``vartheta_used`` come from ``kraus.field`` and ``kraus.pulse``.
-    The 1/N references of a zero-photon field are infinite.
-    """
-    columns = []
-    for control in controls:
-        perp, psi = error_pair(control)
-        columns += [[kraus.coupling(perp, psi)], [kraus.coupling((1.0, 0.0), psi)]]
-    weights = [float(gram[0, 0].real) for gram in kraus.grams(columns)]
-    n_mean, vartheta_used = kraus.field.mean_photon_number, kraus.pulse.vartheta
-    return tuple(_report(control, n_mean, vartheta_used, error, excited)
-                 for control, error, excited in zip(controls, weights[::2], weights[1::2]))
-
-
-def _report(control: ControlSpec, n_mean: float, vartheta_used: float,
-            error: float, excited: float) -> ErrorReport:
-    """The ErrorReport of the control's error weight and its weight on |1>."""
+def asymptote(control: ControlSpec, vartheta: float, n_mean: float) -> float:
+    """The control's leading 1/N error at half pulse area ``vartheta``: asymptotic_p
+    for a half rotation (theta = pi/4) from a pole, else landscape_asymptote."""
     theta0, theta = control.theta0, control.theta
-    exact = min(error, 1.0)
-    delta = abs(excited - math.sin(control.target_angle) ** 2)
-    if n_mean == 0:
-        return ErrorReport(exact, math.inf, math.inf, ozawa_bound(0.0), delta, 0.0, vartheta_used)
-
     if math.isclose(theta, QUARTER_PI, abs_tol=1e-12) and (
             math.isclose(theta0, 0.0, abs_tol=1e-12)
             or math.isclose(theta0, math.pi / 2, abs_tol=1e-12)):
         sign = -1 if math.isclose(theta0, 0.0, abs_tol=1e-12) else 1
-        asymptotic = asymptotic_p(vartheta_used, n_mean, sign)
-    else:
-        asymptotic = landscape_asymptote(control.midpoint_altitude, theta, n_mean)
+        return asymptotic_p(vartheta, n_mean, sign)
+    return landscape_asymptote(control.midpoint_altitude, theta, n_mean)
 
-    return ErrorReport(
-        exact=exact,
-        asymptotic=asymptotic,
-        gea_banacloche=gea_banacloche(n_mean),
-        ozawa_bound=ozawa_bound(n_mean),
-        delta=delta,
-        n_mean=n_mean,
-        vartheta_used=vartheta_used,
-    )
+
+def error_report(controls: tuple[ControlSpec, ...], kraus: KrausSet) -> tuple[float, ...]:
+    """Each control's exact error P = 1 - F^2, clipped at 1, in the order given.
+
+    All controls share one pass over the pulse's Kraus index
+    (KrausSet.grams), one coupling column per control: P is the weight
+    sum_n |perp^T M_n psi|^2 of the start psi = R(theta0)|0> on
+    perp = R(theta0 + theta)|1>.
+    """
+    columns = [[kraus.coupling(orthogonal_target(c.target_angle),
+                               np.array([math.sin(c.theta0), math.cos(c.theta0)]))]
+               for c in controls]
+    return tuple(min(float(gram[0, 0].real), 1.0) for gram in kraus.grams(columns))

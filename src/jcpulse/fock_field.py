@@ -52,9 +52,11 @@ class FieldState:
     kind: str  # "coherent" or "number"
 
     def __post_init__(self):
-        object.__setattr__(self, "log_magnitude",
-                           np.asarray(self.log_magnitude, dtype=float))
-        self.log_magnitude.flags.writeable = False
+        values = self.log_magnitude  # kept if a read-only float array; else a frozen copy
+        if not (isinstance(values, np.ndarray) and values.dtype == float) or values.flags.writeable:
+            values = np.array(values, dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, "log_magnitude", values)
 
     @property
     def size(self) -> int:
@@ -179,10 +181,12 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
 
     retained = float(np.exp(log_pmf).sum())
     shift = 0.5 * (math.log1p(-tail) - math.log(retained))
+    log_magnitude = 0.5 * log_pmf + shift
+    log_magnitude.flags.writeable = False  # FieldState keeps it without a copy
 
     return FieldState(
         n_offset=int(lo),
-        log_magnitude=0.5 * log_pmf + shift,
+        log_magnitude=log_magnitude,
         mean_photon_number=float(n_mean),
         coherent_phase=float(phase) % TWO_PI,
         tail_mass=tail,
@@ -195,9 +199,11 @@ def make_number_state(m: int) -> FieldState:
     if m < 0 or int(m) != m:
         raise ValueError(f"photon number must be a non-negative integer, got {m}")
     m = int(m)
+    log_magnitude = np.zeros(1)
+    log_magnitude.flags.writeable = False
     return FieldState(
         n_offset=m,
-        log_magnitude=np.zeros(1),
+        log_magnitude=log_magnitude,
         mean_photon_number=float(m),
         coherent_phase=0.0,
         tail_mass=0.0,

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from jcpulse import ErrorReport, FieldState, KrausSet, QubitState
-from jcpulse.error_metrics import _report, error_pair
+from jcpulse import FieldState, KrausSet, QubitState
+from jcpulse.error_metrics import orthogonal_target
 from jcpulse.jc_channel import CHUNK_LEVELS, _real_rows
 
 
@@ -83,8 +83,8 @@ def sum_of_squares(amp: np.ndarray) -> float:
     return math.fsum(sums)
 
 
-def whole_window_reports(controls, kraus: KrausSet) -> tuple[ErrorReport, ...]:
-    """error_report from rows stored whole: each weight's column is one einsum
+def whole_window_reports(controls, kraus: KrausSet) -> tuple[float, ...]:
+    """error_report from rows stored whole: each error's column is one einsum
     over the whole index and its squares are summed by ``sum_of_squares``."""
     rows = whole_rows(kraus)
 
@@ -95,12 +95,9 @@ def whole_window_reports(controls, kraus: KrausSet) -> tuple[ErrorReport, ...]:
             amp = amp + 1j * np.einsum("ijn,ij->n", rows, c.imag)
         return sum_of_squares(amp)
 
-    reports = []
-    for control in controls:
-        w, v = error_pair(control)
-        reports.append(_report(control, kraus.field.mean_photon_number, kraus.pulse.vartheta,
-                               weight(w, v), weight((1.0, 0.0), v)))
-    return tuple(reports)
+    return tuple(min(weight(orthogonal_target(control.target_angle),
+                            (math.sin(control.theta0), math.cos(control.theta0))), 1.0)
+                 for control in controls)
 
 
 def phase_free_operators(kraus: KrausSet) -> np.ndarray:

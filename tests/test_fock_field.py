@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from jcpulse import (
+    FieldState,
     central_moments_direct,
     central_moments_recursive,
     make_coherent,
@@ -135,6 +136,26 @@ class TestCoherentConstruction:
         assert np.allclose(np.exp(1j * np.array(payload["phase"])),
                            amplitude(field, field.photon_numbers()) / field.probabilities() ** 0.5,
                            rtol=0, atol=1e-12)
+
+
+class TestFieldState:
+    @staticmethod
+    def field_of(log_magnitude):
+        return FieldState(n_offset=0, log_magnitude=log_magnitude, mean_photon_number=1.0,
+                          coherent_phase=0.0, tail_mass=0.0, kind="coherent")
+
+    def test_copies_the_callers_array(self):
+        a = np.zeros(3)
+        field = self.field_of(a)
+        a[0] = 1.0
+        assert np.array_equal(field.log_magnitude, np.zeros(3))
+        assert not field.log_magnitude.flags.writeable
+
+    def test_keeps_a_read_only_array(self):
+        # make_coherent hands over its frozen window, so no sweep point copies it.
+        field = make_coherent(100.0)
+        assert not field.log_magnitude.flags.writeable
+        assert self.field_of(field.log_magnitude).log_magnitude is field.log_magnitude
 
 
 class TestNumberState:

@@ -60,16 +60,32 @@ def both_sides(spec, area):
     return build_kraus(field, pulse), ref.kraus_operators(amplitudes, pulse.kappa)
 
 
+def twins(controls):
+    """Each control's twin ControlSpec(theta0, -theta0): its target is |0>, so
+    its error is the population left on |1>."""
+    return tuple(ControlSpec(theta0, -theta0) for theta0, _ in controls)
+
+
 @pytest.mark.parametrize("spec,area", CASES)
 def test_error_report_matches_dense(spec, area):
     kraus, ops = both_sides(spec, area)
-    reports = error_report(tuple(ControlSpec(*control) for control in CONTROLS), kraus)
-    for (theta0, theta), report in zip(CONTROLS, reports):
+    errors = error_report(tuple(ControlSpec(*control) for control in CONTROLS), kraus)
+    excited = error_report(twins(CONTROLS), kraus)
+    for (theta0, theta), error_exact, population in zip(CONTROLS, errors, excited):
         out = ref.channel(ops, ref.pure(theta0))
         error = ref.population(out, theta0 + theta + PI / 2)
-        assert report.exact == pytest.approx(error, rel=P_REL, abs=0.0)
+        assert error_exact == pytest.approx(error, rel=P_REL, abs=0.0)
         delta = abs(out[0, 0].real - math.sin(theta0 + theta) ** 2)
-        assert report.delta == pytest.approx(delta, rel=0.0, abs=RHO_ABS)
+        assert abs(population - math.sin(theta0 + theta) ** 2) == pytest.approx(
+            delta, rel=0.0, abs=RHO_ABS)
+
+
+@pytest.mark.parametrize("spec,area", CASES)
+def test_twin_error_is_the_excited_population(spec, area):
+    kraus, ops = both_sides(spec, area)
+    for (theta0, _), population in zip(CONTROLS, error_report(twins(CONTROLS), kraus)):
+        out = ref.channel(ops, ref.pure(theta0))
+        assert population == pytest.approx(out[0, 0].real, rel=0.0, abs=RHO_ABS)
 
 
 @pytest.mark.parametrize("spec,area", CASES)

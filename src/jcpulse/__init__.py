@@ -27,14 +27,12 @@ from .jc_channel import (
 from .error_metrics import (
     PULSE_MODES,
     ControlSpec,
-    OptimalAngles,
     asymptote,
     asymptotic_p,
     error_rate_exact,
     error_report,
     gea_banacloche,
     landscape_asymptote,
-    optimal_vartheta,
     ozawa_bound,
     resolve_pulse,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "ControlSpec",
     "FieldState",
     "KrausSet",
-    "OptimalAngles",
     "PulseSpec",
     "QubitState",
     "SequenceComparison",
@@ -71,7 +68,6 @@ __all__ = [
     "landscape_asymptote",
     "make_coherent",
     "make_number_state",
-    "optimal_vartheta",
     "ozawa_bound",
     "resolve_pulse",
     "run_sequence",

@@ -51,8 +51,11 @@ def _fmt(value):
 
 
 def _json_value(value):
+    """Floats at 12 digits, dicts entry by entry; lists (the field's arrays) at full precision."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     return value
 
 
@@ -71,7 +74,7 @@ def _emit(args, rows, meta_params, extra=None) -> None:
             "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
         }
         if extra:
-            payload.update({k: _json_value_tree(v) for k, v in extra.items()})
+            payload.update(_json_value(extra))
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -104,13 +107,6 @@ def _check_out(path: str | None) -> None:
     else:
         return
     raise OSError(code, os.strerror(code), path)
-
-
-def _json_value_tree(value):
-    """Scalars at 12 digits (``_json_value``); lists, the field's arrays, at full precision."""
-    if isinstance(value, dict):
-        return {k: _json_value_tree(v) for k, v in value.items()}
-    return _json_value(value)
 
 
 def _photon_number(value: float, name: str) -> float:
@@ -172,7 +168,7 @@ def cmd_table2(args) -> None:
     field = make_coherent(n_mean, tail_tol=args.tail_tol)
     rows = []
     for theta in (math.pi / 4, math.pi / 2):
-        kraus = build_kraus(field, resolve_pulse("quarter-pi", n_mean, base=theta))
+        kraus = build_kraus(field, PulseSpec.from_vartheta(theta, n_mean))
         controls = tuple(ControlSpec(theta0, theta)
                          for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
         for control, error in zip(controls, error_report(controls, kraus)):
@@ -215,7 +211,7 @@ def cmd_landscape(args) -> None:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
 
     kraus = build_kraus(make_coherent(n_mean, tail_tol=args.tail_tol),
-                        resolve_pulse("quarter-pi", n_mean, base=args.theta))
+                        PulseSpec.from_vartheta(args.theta, n_mean))
     midpoints = [float(m) for m in np.linspace(0.0, math.pi / 2, args.grid)]
     errors = error_report(tuple(ControlSpec(m - args.theta / 2, args.theta) for m in midpoints),
                           kraus)

@@ -6,7 +6,13 @@ R(theta0)|0> toward R(theta0 + theta)|0>; the qubit phase is fixed to
 zero, so everything lives in the real plane of the Bloch sphere.
 
 ``error_report`` returns only exact errors; the 1/N references
-(``asymptote``, ``gea_banacloche``, ``ozawa_bound``) are separate closed forms.
+(``asymptote``, ``gea_banacloche``, ``ozawa_bound``) are separate closed
+forms, and the first two raise ValueError for N <= 0.
+
+``resolve_pulse`` sets a half rotation's pulse area: nominal pi/4, or one
+of the first-order corrected areas pi/4 - a/N of the exact pulse-area
+theorem (arXiv 1211.1092), whose four coefficients a are the one table
+``FIRST_ORDER``.
 
 Reference constants such as (pi +- 2)^2/64 are always computed from pi at
 runtime, never hard-coded as decimals.
@@ -17,10 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock_field import FieldState, make_coherent  # noqa: F401  (perfbench looks it up here)
-from .jc_channel import KrausSet, PulseSpec, build_kraus
+from .jc_channel import KrausSet, PulseSpec, bloch_rotation, build_kraus
 
 QUARTER_PI = math.pi / 4
 
@@ -34,9 +38,26 @@ PULSE_MODES = (
     "explicit",
 )
 
+#: The coefficient a of each signed mode's first-order corrected half pulse
+#: area pi/4 - a/N: the plus branch is for starts nearer the excited pole,
+#: the minus branch for starts nearer the ground pole.
+FIRST_ORDER = {
+    "optimal-fidelity-plus": 3 * math.pi / 32 + (math.pi + 2) / 16,
+    "optimal-fidelity-minus": 3 * math.pi / 32 - (math.pi + 2) / 16,
+    "bias-free-plus": 3 * math.pi / 32,
+    "bias-free-minus": -math.pi / 32,
+}
+
+
+def _check_photon_number(n_mean: float) -> None:
+    """Raise ValueError unless N > 0 (so also for NaN), before any 1/N is taken."""
+    if not n_mean > 0:
+        raise ValueError(f"mean photon number N must be positive, got {n_mean!r}")
+
 
 def gea_banacloche(n_mean: float) -> float:
     """Semiclassical half-pulse error reference (pi^2 + 4) / (64 N)."""
+    _check_photon_number(n_mean)
     return (math.pi ** 2 + 4.0) / (64.0 * n_mean)
 
 
@@ -72,35 +93,6 @@ class ControlSpec:
         return self.theta0 + self.theta
 
 
-@dataclass(frozen=True)
-class OptimalAngles:
-    """First-order corrected half pulse areas for the two pole starts."""
-
-    fidelity_optimal_plus: float
-    fidelity_optimal_minus: float
-    bias_free_plus: float
-    bias_free_minus: float
-    n_mean: float
-
-
-def optimal_vartheta(n_mean: float) -> OptimalAngles:
-    """Half pulse areas minimizing error or population bias at order 1/N.
-
-    Fidelity-optimal: pi/4 - (3 pi/32 +- (pi+2)/16) / N.
-    Bias-free:        pi/4 - pi (1 +- 2) / (32 N).
-    """
-    if n_mean <= 0:
-        raise ValueError(f"mean photon number must be positive, got {n_mean}")
-    base = QUARTER_PI
-    return OptimalAngles(
-        fidelity_optimal_plus=base - (3 * math.pi / 32 + (math.pi + 2) / 16) / n_mean,
-        fidelity_optimal_minus=base - (3 * math.pi / 32 - (math.pi + 2) / 16) / n_mean,
-        bias_free_plus=base - 3 * math.pi / (32 * n_mean),
-        bias_free_minus=base + math.pi / (32 * n_mean),
-        n_mean=float(n_mean),
-    )
-
-
 def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
                   start_angle: float | None = None,
                   vartheta: float | None = None) -> PulseSpec:
@@ -108,10 +100,11 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
 
     ``base`` is the nominal half pulse area (the intended rotation angle);
     "explicit" mode takes ``vartheta`` instead.  The optimal-fidelity and
-    bias-free corrections are defined for the half-rotation family (base
-    pi/4); for any other base they fall back to the nominal value.  The bare "optimal-fidelity"/"bias-free" modes pick
-    the plus branch when the control starts nearer the excited pole and
-    the minus branch otherwise.
+    bias-free corrections, pi/4 - a/N with a from FIRST_ORDER, are defined
+    for the half-rotation family (base pi/4); for any other base they fall
+    back to the nominal value.  The bare "optimal-fidelity"/"bias-free"
+    modes take the plus branch when the control starts nearer the excited
+    pole (sin^2(start_angle) > 1/2) and the minus branch otherwise.
     """
     if mode not in PULSE_MODES:
         raise ValueError(f"unknown pulse mode {mode!r}; expected one of {PULSE_MODES}")
@@ -123,21 +116,11 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
     if mode == "quarter-pi" or not math.isclose(base, QUARTER_PI, abs_tol=1e-12):
         return PulseSpec.from_vartheta(base, n_mean)
 
-    angles = optimal_vartheta(n_mean)
-    sign = mode.rsplit("-", 1)[-1]
-    if sign not in ("plus", "minus"):
+    _check_photon_number(n_mean)
+    if mode not in FIRST_ORDER:
         nearer_excited = start_angle is not None and math.sin(start_angle) ** 2 > 0.5
-        sign = "plus" if nearer_excited else "minus"
-    if mode.startswith("optimal-fidelity"):
-        value = angles.fidelity_optimal_plus if sign == "plus" else angles.fidelity_optimal_minus
-    else:
-        value = angles.bias_free_plus if sign == "plus" else angles.bias_free_minus
-    return PulseSpec.from_vartheta(value, n_mean)
-
-
-def orthogonal_target(target_angle: float) -> np.ndarray:
-    """R(target_angle)|1> = (cos, -sin)^T; its population after the pulse is P = 1 - F^2."""
-    return np.array([math.cos(target_angle), -math.sin(target_angle)])
+        mode += "-plus" if nearer_excited else "-minus"
+    return PulseSpec.from_vartheta(QUARTER_PI - FIRST_ORDER[mode] / n_mean, n_mean)
 
 
 def error_rate_exact(control: ControlSpec, field: FieldState, pulse: PulseSpec) -> float:
@@ -151,16 +134,14 @@ def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
     (1 - sin 2t)/2 + (1/16N) {(1 + 4t^2) sin 2t - 2t cos 2t +- 4t (1 - cos 2t)}.
 
     ``sign`` +1 starts from the excited pole, -1 from the ground pole.
-    Raises ValueError if the 1/N term is not a finite float.
+    Raises ValueError if N <= 0 or the 1/N term is not a finite float.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_photon_number(n_mean)
     s2, c2 = math.sin(2 * vartheta), math.cos(2 * vartheta)
-    try:
-        square = vartheta ** 2
-    except OverflowError:  # |vartheta| above about 1e154
-        square = math.inf
-    bracket = (1 + 4 * square) * s2 - 2 * vartheta * c2 + sign * 4 * vartheta * (1 - c2)
+    bracket = ((1 + 4 * vartheta * vartheta) * s2 - 2 * vartheta * c2
+               + sign * 4 * vartheta * (1 - c2))
     first_order = bracket / (16.0 * n_mean)
     if not math.isfinite(first_order):
         raise ValueError(f"the 1/N term at vartheta={_in_units_of_pi(vartheta)}, N={n_mean!r} "
@@ -175,8 +156,9 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
 
     Maximal at midpoint pi/2 -> (theta + sin theta)^2 / 4N, minimal at
     midpoint 0 -> (theta - sin theta)^2 / 4N.
-    Raises ValueError if the result is not a finite float.
+    Raises ValueError if N <= 0 or the result is not a finite float.
     """
+    _check_photon_number(n_mean)
     amp = theta - math.cos(2.0 * midpoint) * math.sin(theta)
     value = amp * amp / (4.0 * n_mean)
     if not math.isfinite(value):
@@ -210,7 +192,6 @@ def error_report(controls: tuple[ControlSpec, ...], kraus: KrausSet) -> tuple[fl
     sum_n |perp^T M_n psi|^2 of the start psi = R(theta0)|0> on
     perp = R(theta0 + theta)|1>.
     """
-    columns = [[kraus.coupling(orthogonal_target(c.target_angle),
-                               np.array([math.sin(c.theta0), math.cos(c.theta0)]))]
-               for c in controls]
+    columns = [[kraus.coupling(bloch_rotation(c.target_angle)[:, 0],
+                               bloch_rotation(c.theta0)[:, 1])] for c in controls]
     return tuple(min(float(gram[0, 0].real), 1.0) for gram in kraus.grams(columns))

@@ -62,8 +62,8 @@ class QubitState:
     @classmethod
     def pure(cls, theta0: float) -> "QubitState":
         """Pure state R(theta0)|0> = (sin theta0, cos theta0)^T."""
-        v = np.array([math.sin(theta0), math.cos(theta0)], dtype=complex)
-        return cls(rho=np.outer(v, v.conj()))
+        v = bloch_rotation(theta0)[:, 1]
+        return cls(rho=np.outer(v, v))
 
     @classmethod
     def ground(cls) -> "QubitState":
@@ -317,7 +317,10 @@ def apply_channel(rho: QubitState, kraus: KrausSet) -> QubitState:
 
 
 def bloch_rotation(vartheta: float) -> np.ndarray:
-    """Classical Bloch rotation R = [[cos, sin], [-sin, cos]]."""
+    """Classical Bloch rotation R = [[cos, sin], [-sin, cos]] in the (excited, ground) basis.
+
+    |1> is the first basis vector, so the columns are R|1> and R|0>.
+    """
     c, s = math.cos(vartheta), math.sin(vartheta)
     return np.array([[c, s], [-s, c]])
 

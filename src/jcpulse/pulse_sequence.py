@@ -31,14 +31,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_field import DEFAULT_TAIL_TOL, FieldState, make_coherent
-from .jc_channel import build_kraus, frame_step
-from .error_metrics import (
-    ControlSpec,
-    error_rate_exact,
-    landscape_asymptote,
-    orthogonal_target,
-    resolve_pulse,
-)
+from .jc_channel import PulseSpec, bloch_rotation, build_kraus, frame_step
+from .error_metrics import ControlSpec, error_rate_exact, landscape_asymptote, resolve_pulse
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ def run_sequence(theta0: float, steps: Sequence[float], field: FieldState,
     for theta in steps:
         angles.append(angles[-1] + theta)
     # Rows R(angle)|0> and R(angle)|1>: each target and its orthogonal complement.
-    frames = [np.array([[math.sin(a), math.cos(a)], orthogonal_target(a)]) for a in angles]
+    frames = [bloch_rotation(a).T[::-1] for a in angles]
     pulses = [resolve_pulse(mode, n_mean, base=theta, start_angle=angle)
               for theta, angle in zip(steps, angles)]
 
@@ -127,7 +121,6 @@ def compare_sequence_vs_single(theta0: float, n_mean: float, *, mode: str = "bia
     control = ControlSpec(theta0, math.pi / 2)
     singles = []
     for flip_field in (field, make_coherent(2.0 * n_mean, tail_tol=tail_tol)):
-        pulse = resolve_pulse("quarter-pi", flip_field.mean_photon_number, base=math.pi / 2,
-                              start_angle=theta0)
+        pulse = PulseSpec.from_vartheta(math.pi / 2, flip_field.mean_photon_number)
         singles.append(error_rate_exact(control, flip_field, pulse))
     return report, SequenceComparison(*singles)

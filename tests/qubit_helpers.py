@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from jcpulse import FieldState, KrausSet, QubitState
-from jcpulse.error_metrics import orthogonal_target
 from jcpulse.jc_channel import CHUNK_LEVELS, _real_rows
 
 
@@ -95,7 +94,8 @@ def whole_window_reports(controls, kraus: KrausSet) -> tuple[float, ...]:
             amp = amp + 1j * np.einsum("ijn,ij->n", rows, c.imag)
         return sum_of_squares(amp)
 
-    return tuple(min(weight(orthogonal_target(control.target_angle),
+    # R(target)|1> = (cos, -sin) and R(theta0)|0> = (sin, cos), written out.
+    return tuple(min(weight((math.cos(control.target_angle), -math.sin(control.target_angle)),
                             (math.sin(control.theta0), math.cos(control.theta0))), 1.0)
                  for control in controls)
 

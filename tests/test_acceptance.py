@@ -23,8 +23,8 @@ from jcpulse import (
     landscape_asymptote,
     make_coherent,
     make_number_state,
-    optimal_vartheta,
     ozawa_bound,
+    resolve_pulse,
     run_sequence,
 )
 from paper_sums import diagonal_deviation, p_minus, p_plus
@@ -125,9 +125,9 @@ def test_c07_classical_limit_scaling():
 def test_c08_bias_cancellation():
     n_mean = 1e3
     field = make_coherent(n_mean, tail_tol=TAIL_TOL)
-    angles = optimal_vartheta(n_mean)
     ratios = []
-    for sign, tilde in ((1, angles.bias_free_plus), (-1, angles.bias_free_minus)):
+    for sign, mode in ((1, "bias-free-plus"), (-1, "bias-free-minus")):
+        tilde = resolve_pulse(mode, n_mean).vartheta
         baseline = diagonal_deviation(field, PulseSpec.from_vartheta(QUARTER_PI, n_mean), sign)
         cancelled = diagonal_deviation(field, PulseSpec.from_vartheta(tilde, n_mean), sign)
         ratios.append(cancelled / baseline)
@@ -140,7 +140,7 @@ def test_c09_optimality_flatness():
     scaled = []
     for n_mean in (1e3, 1e4):
         field = make_coherent(n_mean, tail_tol=TAIL_TOL)
-        best = optimal_vartheta(n_mean).fidelity_optimal_minus
+        best = resolve_pulse("optimal-fidelity-minus", n_mean).vartheta
         gap = abs(p_minus(field, PulseSpec.from_vartheta(best, n_mean))
                   - p_minus(field, PulseSpec.from_vartheta(QUARTER_PI, n_mean)))
         scaled.append(gap * n_mean ** 2)

@@ -22,7 +22,6 @@ from jcpulse import (
     landscape_asymptote,
     make_coherent,
     make_number_state,
-    optimal_vartheta,
     ozawa_bound,
     resolve_pulse,
     run_sequence,
@@ -206,25 +205,40 @@ class TestAsymptoticP:
         with pytest.raises(ValueError):
             asymptotic_p(QUARTER_PI, 10.0, 0)
 
+    @pytest.mark.parametrize("n_mean", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("law", [
+        lambda n: asymptotic_p(QUARTER_PI, n, 1),
+        lambda n: landscape_asymptote(0.4, 0.9, n),
+        lambda n: asymptote(ControlSpec(0.0, QUARTER_PI), QUARTER_PI, n),
+        lambda n: asymptote(ControlSpec(0.3, 0.9), QUARTER_PI, n),
+        gea_banacloche,
+    ], ids=["asymptotic_p", "landscape", "asymptote-pole", "asymptote-generic",
+            "gea_banacloche"])
+    def test_non_positive_n_rejected(self, law, n_mean):
+        with pytest.raises(ValueError, match="N must be positive, got"):
+            law(n_mean)
+
+
+def corrected_area(mode, n_mean):
+    return resolve_pulse(mode, n_mean).vartheta
+
 
 class TestOptimalAngles:
     def test_closed_forms(self):
         n_mean = 1e3
-        angles = optimal_vartheta(n_mean)
-        assert angles.fidelity_optimal_minus == pytest.approx(
+        assert corrected_area("optimal-fidelity-minus", n_mean) == pytest.approx(
             QUARTER_PI - (3 * PI / 32 - (PI + 2) / 16) / n_mean, rel=1e-14)
-        assert angles.fidelity_optimal_plus == pytest.approx(
+        assert corrected_area("optimal-fidelity-plus", n_mean) == pytest.approx(
             QUARTER_PI - (3 * PI / 32 + (PI + 2) / 16) / n_mean, rel=1e-14)
-        assert angles.bias_free_minus == pytest.approx(
+        assert corrected_area("bias-free-minus", n_mean) == pytest.approx(
             QUARTER_PI + PI / (32 * n_mean), rel=1e-14)
-        assert angles.bias_free_plus == pytest.approx(
+        assert corrected_area("bias-free-plus", n_mean) == pytest.approx(
             QUARTER_PI - 3 * PI / (32 * n_mean), rel=1e-14)
 
     def test_all_reduce_to_quarter_pi(self):
-        angles = optimal_vartheta(1e8)
-        for value in (angles.fidelity_optimal_plus, angles.fidelity_optimal_minus,
-                      angles.bias_free_plus, angles.bias_free_minus):
-            assert abs(value - QUARTER_PI) <= 1e-7
+        for mode in ("optimal-fidelity-plus", "optimal-fidelity-minus",
+                     "bias-free-plus", "bias-free-minus"):
+            assert abs(corrected_area(mode, 1e8) - QUARTER_PI) <= 1e-7
 
     def test_brute_force_scan_confirms_minimizer(self):
         # Oracle: parabola vertex of P-(vartheta) sampled around pi/4.
@@ -235,7 +249,7 @@ class TestOptimalAngles:
                   for o in offsets]
         coeffs = np.polyfit(offsets, values, 2)
         vertex = QUARTER_PI - coeffs[1] / (2 * coeffs[0])
-        predicted = optimal_vartheta(n_mean).fidelity_optimal_minus
+        predicted = corrected_area("optimal-fidelity-minus", n_mean)
         assert vertex == pytest.approx(predicted, abs=3e-6)
 
     def test_flatness_of_optimum(self):
@@ -243,7 +257,7 @@ class TestOptimalAngles:
         ratios = []
         for n_mean in (1e3, 1e4):
             field = make_coherent(n_mean)
-            best = optimal_vartheta(n_mean).fidelity_optimal_minus
+            best = corrected_area("optimal-fidelity-minus", n_mean)
             delta = abs(p_minus(field, PulseSpec.from_vartheta(best, n_mean))
                         - p_minus(field, PulseSpec.from_vartheta(QUARTER_PI, n_mean)))
             ratios.append(delta * n_mean ** 2)
@@ -265,8 +279,7 @@ class TestDiagonalDeviation:
     def test_bias_free_area_cancels_leading_term(self, sign):
         n_mean = 1e3
         field = make_coherent(n_mean)
-        angles = optimal_vartheta(n_mean)
-        tilde = angles.bias_free_plus if sign == 1 else angles.bias_free_minus
+        tilde = corrected_area("bias-free-plus" if sign == 1 else "bias-free-minus", n_mean)
         baseline = diagonal_deviation(field, PulseSpec.from_vartheta(QUARTER_PI, n_mean), sign)
         cancelled = diagonal_deviation(field, PulseSpec.from_vartheta(tilde, n_mean), sign)
         assert cancelled <= 0.05 * baseline
@@ -346,19 +359,37 @@ class TestPulseResolution:
         assert pulse.vartheta == PI / 2
         assert pulse.kappa == pytest.approx(PI / 2 / 10.0)
 
-    def test_signed_modes(self):
-        angles = optimal_vartheta(100.0)
-        assert resolve_pulse("bias-free-minus", 100.0).vartheta == angles.bias_free_minus
-        assert resolve_pulse("bias-free-plus", 100.0).vartheta == angles.bias_free_plus
-        assert resolve_pulse("optimal-fidelity-minus", 100.0).vartheta == \
-            angles.fidelity_optimal_minus
+    @pytest.mark.parametrize("n_mean", [1e2, 1e3, 1e8])
+    def test_signed_modes(self, n_mean):
+        # The closed forms as the first-order theory writes them, bit for bit.
+        assert corrected_area("optimal-fidelity-plus", n_mean) == \
+            QUARTER_PI - (3 * PI / 32 + (PI + 2) / 16) / n_mean
+        assert corrected_area("optimal-fidelity-minus", n_mean) == \
+            QUARTER_PI - (3 * PI / 32 - (PI + 2) / 16) / n_mean
+        assert corrected_area("bias-free-plus", n_mean) == QUARTER_PI - 3 * PI / (32 * n_mean)
+        assert corrected_area("bias-free-minus", n_mean) == QUARTER_PI + PI / (32 * n_mean)
 
-    def test_auto_sign_follows_start_altitude(self):
-        angles = optimal_vartheta(100.0)
-        assert resolve_pulse("bias-free", 100.0, start_angle=0.0).vartheta == \
-            angles.bias_free_minus
-        assert resolve_pulse("bias-free", 100.0, start_angle=PI / 2).vartheta == \
-            angles.bias_free_plus
+    @pytest.mark.parametrize("n_mean", [1e2, 1e3, 1e8])
+    def test_auto_sign_follows_start_altitude(self, n_mean):
+        def area(mode, start_angle):
+            return resolve_pulse(mode, n_mean, start_angle=start_angle).vartheta
+
+        # Nearer the excited pole (sin^2 > 1/2) the plus branch, else the minus.
+        for start in (PI / 2, 0.4 * PI, 0.6 * PI):
+            assert area("bias-free", start) == QUARTER_PI - 3 * PI / (32 * n_mean)
+            assert area("optimal-fidelity", start) == \
+                QUARTER_PI - (3 * PI / 32 + (PI + 2) / 16) / n_mean
+        for start in (0.0, 0.1 * PI, 0.2 * PI, None):
+            assert area("bias-free", start) == QUARTER_PI + PI / (32 * n_mean)
+            assert area("optimal-fidelity", start) == \
+                QUARTER_PI - (3 * PI / 32 - (PI + 2) / 16) / n_mean
+
+    @pytest.mark.parametrize("mode", ["bias-free", "bias-free-minus", "optimal-fidelity-plus"])
+    @pytest.mark.parametrize("n_mean", [0.0, -1.0, math.nan])
+    def test_corrections_reject_non_positive_n(self, mode, n_mean):
+        # Checked before the 1/N correction is divided out.
+        with pytest.raises(ValueError, match="mean photon number"):
+            resolve_pulse(mode, n_mean)
 
     def test_corrections_only_apply_to_half_rotations(self):
         pulse = resolve_pulse("bias-free-minus", 100.0, base=PI / 2)

@@ -13,7 +13,6 @@ from jcpulse import (
     run_sequence,
 )
 from jcpulse import error_metrics, pulse_sequence
-from jcpulse.error_metrics import orthogonal_target
 from qubit_helpers import fsum_gram, phase_free_operators
 
 PI = math.pi
@@ -37,9 +36,11 @@ def fsum_second_step_error(start, n_mean):
         field, resolve_pulse("bias-free", n_mean, base=QUARTER_PI, start_angle=angle)))
         for angle in (start, start + QUARTER_PI))
     middle = start + QUARTER_PI
-    basis = np.array([[math.sin(middle), math.cos(middle)], orthogonal_target(middle)])
+    basis = np.array([[math.sin(middle), math.cos(middle)],  # R(middle)|0>, R(middle)|1>
+                      [math.cos(middle), -math.sin(middle)]])
     sigma = fsum_gram(basis @ first @ np.array([math.sin(start), math.cos(start)]))
-    gram = fsum_gram(orthogonal_target(middle + QUARTER_PI) @ second @ basis.T)
+    last = middle + QUARTER_PI
+    gram = fsum_gram(np.array([math.cos(last), -math.sin(last)]) @ second @ basis.T)
     return math.fsum((sigma * gram).real.ravel())
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock_field import FieldState, make_coherent  # noqa: F401  (perfbench looks it up here)
+from .fock_field import FieldState, check_photon_number
+from .fock_field import make_coherent  # noqa: F401  (perfbench looks it up here)
 from .jc_channel import KrausSet, PulseSpec, bloch_rotation, build_kraus
 
 QUARTER_PI = math.pi / 4
@@ -49,15 +50,9 @@ FIRST_ORDER = {
 }
 
 
-def _check_photon_number(n_mean: float) -> None:
-    """Raise ValueError unless N > 0 (so also for NaN), before any 1/N is taken."""
-    if not n_mean > 0:
-        raise ValueError(f"mean photon number N must be positive, got {n_mean!r}")
-
-
 def gea_banacloche(n_mean: float) -> float:
     """Semiclassical half-pulse error reference (pi^2 + 4) / (64 N)."""
-    _check_photon_number(n_mean)
+    check_photon_number(n_mean)
     return (math.pi ** 2 + 4.0) / (64.0 * n_mean)
 
 
@@ -105,6 +100,7 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
     back to the nominal value.  The bare "optimal-fidelity"/"bias-free"
     modes take the plus branch when the control starts nearer the excited
     pole (sin^2(start_angle) > 1/2) and the minus branch otherwise.
+    Every mode raises ValueError for N <= 0 or NaN.
     """
     if mode not in PULSE_MODES:
         raise ValueError(f"unknown pulse mode {mode!r}; expected one of {PULSE_MODES}")
@@ -116,7 +112,7 @@ def resolve_pulse(mode: str, n_mean: float, base: float = QUARTER_PI,
     if mode == "quarter-pi" or not math.isclose(base, QUARTER_PI, abs_tol=1e-12):
         return PulseSpec.from_vartheta(base, n_mean)
 
-    _check_photon_number(n_mean)
+    check_photon_number(n_mean)
     if mode not in FIRST_ORDER:
         nearer_excited = start_angle is not None and math.sin(start_angle) ** 2 > 0.5
         mode += "-plus" if nearer_excited else "-minus"
@@ -138,7 +134,7 @@ def asymptotic_p(vartheta: float, n_mean: float, sign: int) -> float:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_photon_number(n_mean)
+    check_photon_number(n_mean)
     s2, c2 = math.sin(2 * vartheta), math.cos(2 * vartheta)
     bracket = ((1 + 4 * vartheta * vartheta) * s2 - 2 * vartheta * c2
                + sign * 4 * vartheta * (1 - c2))
@@ -158,7 +154,7 @@ def landscape_asymptote(midpoint: float, theta: float, n_mean: float) -> float:
     midpoint 0 -> (theta - sin theta)^2 / 4N.
     Raises ValueError if N <= 0 or the result is not a finite float.
     """
-    _check_photon_number(n_mean)
+    check_photon_number(n_mean)
     amp = theta - math.cos(2.0 * midpoint) * math.sin(theta)
     value = amp * amp / (4.0 * n_mean)
     if not math.isfinite(value):

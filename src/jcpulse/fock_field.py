@@ -33,6 +33,12 @@ _WIDTH_GROWTH = 1.6
 MAX_LEVELS = 2 ** 24
 
 
+def check_photon_number(n_mean: float) -> None:
+    """Raise ValueError unless N > 0 (so also for NaN), before any 1/N is taken."""
+    if not n_mean > 0:
+        raise ValueError(f"mean photon number N must be positive, got {n_mean!r}")
+
+
 @dataclass(frozen=True)
 class FieldState:
     """Amplitudes C_n of a pure field state on a contiguous number window.
@@ -257,8 +263,7 @@ def central_moments_recursive(n_mean: float, k_max: int) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError(f"moment order must be non-negative, got {k_max}")
-    if n_mean <= 0:
-        raise ValueError(f"mean photon number must be positive, got {n_mean}")
+    check_photon_number(n_mean)
     mu = [1.0, 0.0]
     for k in range(2, k_max + 1):
         try:

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock_field import DEFAULT_TAIL_TOL, TWO_PI, FieldState, make_coherent
+from .fock_field import DEFAULT_TAIL_TOL, TWO_PI, FieldState, check_photon_number, make_coherent
 
 #: Levels per piece of the Kraus index walked by ``KrausSet.grams``.
 CHUNK_LEVELS = 2 ** 14
@@ -91,8 +91,7 @@ class PulseSpec:
 
     @classmethod
     def from_vartheta(cls, vartheta: float, n_mean: float) -> "PulseSpec":
-        if n_mean <= 0:
-            raise ValueError("deriving kappa from vartheta needs a positive mean photon number")
+        check_photon_number(n_mean)
         return cls(kappa=float(vartheta) / math.sqrt(n_mean), vartheta=float(vartheta))
 
     def kappa_for(self, field: FieldState) -> float:

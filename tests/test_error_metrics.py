@@ -384,10 +384,12 @@ class TestPulseResolution:
             assert area("optimal-fidelity", start) == \
                 QUARTER_PI - (3 * PI / 32 - (PI + 2) / 16) / n_mean
 
-    @pytest.mark.parametrize("mode", ["bias-free", "bias-free-minus", "optimal-fidelity-plus"])
+    @pytest.mark.parametrize("mode", ["bias-free", "bias-free-minus", "optimal-fidelity-plus",
+                                      "quarter-pi"])
     @pytest.mark.parametrize("n_mean", [0.0, -1.0, math.nan])
     def test_corrections_reject_non_positive_n(self, mode, n_mean):
-        # Checked before the 1/N correction is divided out.
+        # Checked before the 1/N correction is divided out; the nominal
+        # quarter-pi pulse rejects the same N, NaN included.
         with pytest.raises(ValueError, match="mean photon number"):
             resolve_pulse(mode, n_mean)
 

@@ -237,6 +237,11 @@ class TestCentralMoments:
         with pytest.raises(ValueError):
             central_moments_direct(make_coherent(10.0), -2)
 
+    @pytest.mark.parametrize("n_mean", [0.0, -1.0, math.nan])
+    def test_recursion_rejects_non_positive_n(self, n_mean):
+        with pytest.raises(ValueError, match="N must be positive, got"):
+            central_moments_recursive(n_mean, 6)
+
     @pytest.mark.filterwarnings("error")
     def test_rejects_non_finite_moments(self):
         # At N = 1e-300, N^2 underflows to zero in the recursion for mu_3 and

@@ -5,12 +5,16 @@ jcpulse from the ``src`` directory next to this script and prints one JSON
 object.  Every row is the median of REPEAT = 15 timed calls.  BLAS is pinned to one thread before numpy is imported,
 as in ``perfbench``, so the numbers do not depend on the host's core count.
 
-Each layer is timed separately at N = 1e6 and N = 1e8 against a coherent
-field of phase pi/2 and the quarter-pi pulse:
+Each layer is timed separately at N = 1e4, 1e6 and 1e8 against a coherent
+field of phase pi/2 and the quarter-pi pulse.  The first row counts the
+points of the sum over n: ``nodes`` where the pulse is summed by the
+field's Gauss-Hermite rule (N >= 1e3), ``levels`` where it walks the
+number window.
 
-- ``make_coherent``: the field window;
+- ``make_coherent``: the field (its validation; the window is built only
+  where a layer reads it);
 - ``error_report``: one control from the ground pole, one coupling column,
-  the pass over the pulse's Kraus index included (``sweep`` runs two
+  the pass over the pulse's rule included (``sweep`` runs two
   columns per point: its control and the twin behind ``delta``);
 - ``error_report_table2``: table2's eight controls (four start altitudes,
   each turned by pi/4 and by pi/2) batched on the one pulse, one column each;
@@ -59,7 +63,7 @@ from jcpulse import (  # noqa: E402
 from jcpulse import cli  # noqa: E402
 
 REPEAT = 15
-LAYER_N = ("1e6", "1e8")
+LAYER_N = ("1e4", "1e6", "1e8")
 CLI_COMMANDS = (
     ("table2", "--n", "100"),
     ("sweep", "--n-min", "1e4", "--n-max", "1e8", "--points", "5"),
@@ -90,7 +94,7 @@ def layer_times(n_mean: float) -> dict[str, float]:
                    for theta0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
     ground = QubitState.ground()
     return {
-        "levels": len(kraus),
+        "nodes" if kraus.levels is None else "levels": len(kraus),
         "make_coherent": median_ms(lambda _: make_coherent(n_mean)),
         "error_report": median_ms(lambda _: error_report(one_control, kraus)),
         "error_report_table2": median_ms(lambda _: error_report(table2, kraus)),

@@ -9,8 +9,8 @@ output is byte-identical over the matrix, so ``diff`` of two runs lists the
 commands whose output changed.
 
 The matrix is the ``sequence`` grid (N 1e2..1e8, four starts, seven pulse
-modes, CSV and JSON), variants of the other subcommands, and invalid
-commands.  The script exits 1 on a contract break, reported on stderr: an
+modes, CSV and JSON), variants of the other subcommands (some on both sides
+of the threshold N = 1e3 of the Gauss-Hermite rule), and invalid commands.  The script exits 1 on a contract break, reported on stderr: an
 exit code other than 0 or 2, an exception, a NaN or infinite value in the
 output on exit 0, or stdout on exit 2.
 """
@@ -70,6 +70,13 @@ OTHER_COMMANDS = (
     # A generic coherent phase in JSON and a larger number state.
     ("kraus-dump", "--n", "1e4", "--vartheta", "0.25", "--phi", "0.13", "--format", "json"),
     ("kraus-dump", "--number", "17", "--kappa", "0.3"),
+    # Both sides of QUAD_MIN_N = 1e3, where coherent fields switch from the
+    # level sum to the Gauss-Hermite rule: a sweep across it, table2 just
+    # below it and at it, and a sequence whose 2N flip crosses it.
+    ("sweep", "--spacing", "linear", "--n-min", "500", "--n-max", "1500", "--points", "5"),
+    ("table2", "--n", "999"),
+    ("table2", "--n", "1000"),
+    ("sequence", "--n", "600", "--start", "plus", "--format", "json"),
 )
 
 INVALID_COMMANDS = (

@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .fock_field import (
     DEFAULT_TAIL_TOL,
+    CoherentField,
     FieldState,
     central_moments_direct,
     central_moments_recursive,
@@ -46,6 +47,7 @@ from .pulse_sequence import (
 __all__ = [
     "DEFAULT_TAIL_TOL",
     "PULSE_MODES",
+    "CoherentField",
     "ControlSpec",
     "FieldState",
     "KrausSet",

@@ -7,7 +7,7 @@ zero, so everything lives in the real plane of the Bloch sphere.
 
 ``error_report`` returns only exact errors; the 1/N references
 (``asymptote``, ``gea_banacloche``, ``ozawa_bound``) are separate closed
-forms, and the first two raise ValueError for N <= 0.
+forms, and the first two raise ValueError for N <= 0, the last for N < 0.
 
 ``resolve_pulse`` sets a half rotation's pulse area: nominal pi/4, or one
 of the first-order corrected areas pi/4 - a/N of the exact pulse-area
@@ -61,8 +61,11 @@ def ozawa_bound(n_mean: float) -> float:
 
     A scale to compare against, not a bound on one control's error: the
     ground-pole half rotation lies below it (2.04e-6 against 6.25e-6 at
-    N = 1e4).
+    N = 1e4).  Finite at N = 0, a vacuum field (1/16); raises ValueError
+    for N < 0 or NaN.
     """
+    if not n_mean >= 0:
+        raise ValueError(f"mean photon number N must be non-negative, got {n_mean!r}")
     return 1.0 / (16.0 * (n_mean + 1.0))
 
 

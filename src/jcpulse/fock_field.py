@@ -1,12 +1,24 @@
-"""Pure single-mode field states in a truncated photon-number basis.
+"""Pure single-mode field states: coherent states and number states.
 
 Coherent states carry Poisson number statistics |C_n|^2 = e^-N N^n / n!
-with amplitude phases arg(C_n) = n*phi.  Magnitudes are computed and kept
-in log space, so large mean photon numbers produce finite amplitudes: one
-log-gamma anchors the window's low edge and every later level adds the
-log of the term ratio |C_n|^2 / |C_{n-1}|^2 = N/n.  The retained window
-around N is grown in units of sqrt(N) until the discarded Poisson tail
-mass drops below ``tail_tol``.
+with amplitude phases arg(C_n) = n*phi.  ``make_coherent`` returns a
+``CoherentField``, which holds only N, phi and ``tail_tol``; the truncated
+number window (a ``FieldState``) is built the first time something reads
+it.  Its magnitudes are computed and kept in log space, so large mean
+photon numbers produce finite amplitudes: one log-gamma anchors the
+window's low edge and every later level adds the log of the term ratio
+|C_n|^2 / |C_{n-1}|^2 = N/n.  The retained window around N is grown in
+units of sqrt(N) until the discarded Poisson tail mass drops below
+``tail_tol``.
+
+From N = QUAD_MIN_N on, a coherent field also carries a Gauss-Hermite rule
+in n (``CoherentField.quadrature``): NODES nodes x_j = N + sqrt(N) z_j and
+weights W_j with sum_n |C_n|^2 g(n) = sum_j W_j g(x_j) for every g that
+is smooth on the scale sqrt(N).  The summand |C_x|^2 g(x) is then smooth
+too, so by Poisson summation the sum over the integers equals the
+integral over x up to terms of order e^{-2 pi^2 N}, and the integral is a
+Gauss rule for the normal density in z.  The rule truncates nothing, so
+``tail_tol`` does not enter it.
 
 Number states |m> bypass the truncation logic entirely: their window is
 the single occupied level.
@@ -14,8 +26,10 @@ the single occupied level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +46,18 @@ _WIDTH_GROWTH = 1.6
 #: default window N +- 8 sqrt(N) up to N ~ 1e12.
 MAX_LEVELS = 2 ** 24
 
+#: Smallest mean photon number whose coherent field carries the Gauss-Hermite
+#: rule.  Below about N = 60 some of the NODES nodes fall at x < 0.
+QUAD_MIN_N = 1e3
+
+#: Nodes of the Gauss-Hermite rule: it integrates polynomials in z of degree
+#: up to 2 NODES - 1 exactly against the normal density.
+NODES = 24
+
+#: Coefficients B_2i / (2i (2i - 1)) of the Stirling series
+#: lgamma(x + 1) = (x + 1/2) log x - x + log(2 pi) / 2 + sum_i B_2i / (2i (2i - 1) x^(2i - 1)).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
 
 def check_photon_number(n_mean: float) -> None:
     """Raise ValueError unless N > 0 (so also for NaN), before any 1/N is taken."""
@@ -47,8 +73,11 @@ class FieldState:
     n*coherent_phase mod 2 pi are built by the JSON dump alone; every
     evaluation factors them out (see jc_channel.KrausSet).  Every C_n
     outside [n_offset, n_max] is zero.  Instances are immutable and safe
-    to share between threads.
+    to share between threads.  An explicit window is summed level by
+    level, so it carries no quadrature rule.
     """
+
+    quadrature = None
 
     n_offset: int
     log_magnitude: np.ndarray
@@ -145,21 +174,155 @@ def coherent_window(n_mean: float, width: float = _INITIAL_HALF_WIDTH) -> tuple[
     return lo, hi
 
 
-def make_coherent(n_mean: float, phase: float = math.pi / 2,
-                  tail_tol: float = DEFAULT_TAIL_TOL) -> FieldState:
-    """Build a coherent state with mean photon number ``n_mean``.
+@functools.cache
+def hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z_j and weights w_j (summing to one) of the NODES-point Gauss rule
+    for the standard normal density, built once per process.
 
-    The number window is grown symmetrically around N in steps of sqrt(N)
-    until the (bounded) discarded tail mass is at most ``tail_tol``,
-    subject to the hard cap n_max <= N + 50*sqrt(N) + 100.  The retained
-    magnitudes are renormalized by a single scalar so that
-    sum |C_n|^2 = 1 - tail_mass holds exactly; this removes the constant
-    offset that rounding of the log-gamma edge anchor, of order
-    eps * N log N, leaves in every log-magnitude.
+    The nodes are the eigenvalues of the Jacobi matrix of the probabilists'
+    Hermite polynomials He_k (Golub-Welsch).  As in numpy's ``hermegauss``,
+    one Newton step on He_m refines them, the weights are 1 / He_{m-1}(z_j)^2
+    up to a common factor, and both are made symmetric about zero.  He_k is
+    evaluated by the three-term recurrence normalized by sqrt(k!).
+    """
+    k = np.sqrt(np.arange(1.0, NODES))
+    z = np.linalg.eigvalsh(np.diag(k, 1) + np.diag(k, -1))
+
+    def normed_he(order):  # (He_{order-1}, He_order) / sqrt(k!) at z
+        below, here = np.zeros_like(z), np.ones_like(z)
+        for j in range(1, order + 1):
+            below, here = here, (z * here - math.sqrt(j - 1) * below) / math.sqrt(j)
+        return below, here
+
+    below, here = normed_he(NODES)
+    z = z - here / (math.sqrt(NODES) * below)
+    below, _ = normed_he(NODES)
+    w = 1.0 / (below / np.abs(below).max()) ** 2
+    w = (w + w[::-1]) / 2
+    w /= w.sum()
+    z = (z - z[::-1]) / 2
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
+@dataclass(frozen=True)
+class CoherentField:
+    """The coherent state of mean photon number N and phase phi (in [0, 2 pi)).
+
+    It holds no array of O(sqrt(N)).  ``window``, the number window truncated
+    at ``tail_tol`` as a FieldState, is built on first read; so are the
+    window's attributes read through it (``n_offset``, ``log_magnitude``,
+    ``tail_mass``, ``size``, ``n_max``, ``photon_numbers``,
+    ``probabilities`` and ``to_json_dict``).  From N = QUAD_MIN_N on,
+    ``quadrature`` holds the Gauss-Hermite rule in n, which reads neither.
+    Immutable and safe to share between threads.
+    """
+
+    mean_photon_number: float
+    coherent_phase: float
+    tail_tol: float
+
+    kind = "coherent"
+    is_coherent = True
+
+    @cached_property
+    def window(self) -> FieldState:
+        """The window [lo, hi] around N, grown symmetrically in steps of sqrt(N)
+        until the (bounded) discarded tail mass is at most ``tail_tol``,
+        subject to the hard cap n_max <= N + 50*sqrt(N) + 100.  The retained
+        magnitudes are renormalized by a single scalar so that
+        sum |C_n|^2 = 1 - tail_mass holds exactly; this removes the constant
+        offset that rounding of the log-gamma edge anchor, of order
+        eps * N log N, leaves in every log-magnitude.
+
+        Raises ValueError for a tail tolerance unattainable within the cap
+        or a window grown wider than MAX_LEVELS.
+        """
+        n_mean, tail_tol = self.mean_photon_number, self.tail_tol
+        cap = _n_max_cap(n_mean)
+        width = _INITIAL_HALF_WIDTH
+        while True:
+            lo, hi = coherent_window(n_mean, width)
+            ns = np.arange(lo, hi + 1, dtype=float)
+            log_pmf = _poisson_log_pmf(ns, n_mean)
+            tail_lo, tail_hi = _tail_bounds(lo, hi, n_mean, log_pmf)
+            tail = tail_lo + tail_hi
+            if tail <= tail_tol:
+                break
+            if (lo == 0 or tail_lo <= tail_tol / 2) and hi >= cap:
+                raise ValueError(
+                    f"tail_tol={tail_tol} unattainable within n_max cap {cap} "
+                    f"(residual tail bound {tail:.3e})")
+            width *= _WIDTH_GROWTH
+
+        retained = float(np.exp(log_pmf).sum())
+        shift = 0.5 * (math.log1p(-tail) - math.log(retained))
+        log_magnitude = 0.5 * log_pmf + shift
+        log_magnitude.flags.writeable = False  # FieldState keeps it without a copy
+
+        return FieldState(
+            n_offset=int(lo),
+            log_magnitude=log_magnitude,
+            mean_photon_number=n_mean,
+            coherent_phase=self.coherent_phase,
+            tail_mass=tail,
+            kind="coherent",
+        )
+
+    n_offset = property(lambda self: self.window.n_offset)
+    log_magnitude = property(lambda self: self.window.log_magnitude)
+    tail_mass = property(lambda self: self.window.tail_mass)
+    size = property(lambda self: self.window.size)
+    n_max = property(lambda self: self.window.n_max)
+    photon_numbers = property(lambda self: self.window.photon_numbers)
+    probabilities = property(lambda self: self.window.probabilities)
+    to_json_dict = property(lambda self: self.window.to_json_dict)
+
+    @cached_property
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(z_j, W_j), or None below QUAD_MIN_N: the Gauss-Hermite rule in n,
+        sum_n |C_n|^2 g(n) = sum_j W_j g(N + sqrt(N) z_j).
+
+        With x = N + sqrt(N) z and u = z / sqrt(N), the rule's weight is
+        W_j = w_j sqrt(N) p(x_j) e^{z_j^2 / 2} for the Poisson density
+        p(x) = e^-N N^x / Gamma(x + 1) and the weights w_j of
+        ``hermite_nodes``.  By Stirling's series,
+
+            sqrt(N) p(x) e^{z^2/2} = e^{-s - S(x)} / sqrt(1 + u),
+
+        where S is the series remainder of lgamma(x + 1) (five terms; x is
+        above 700 here) and s = N h(u) - z^2/2 with
+        h(u) = (1 + u) log(1 + u) - u.  Both are summed term by term, never
+        as differences of their O(x log x) or O(z^2) parts:
+        s = N sum_{k>=3} (-u)^k / (k (k - 1)), up to terms below 1e-18.
+        """
+        n_mean = self.mean_photon_number
+        if n_mean < QUAD_MIN_N:
+            return None
+        z, w = hermite_nodes()
+        root_n = math.sqrt(n_mean)
+        u = z / root_n
+        terms = math.ceil(math.log(1e-18 / n_mean) / math.log(float(np.abs(u).max())))
+        k = np.arange(3.0, max(terms, 3) + 1.0)
+        s = n_mean * ((-u[:, None]) ** k / (k * (k - 1.0))).sum(axis=1)
+        inverse = 1.0 / (n_mean + root_n * z)
+        series = 0.0
+        for coefficient in reversed(_STIRLING):
+            series = series * inverse ** 2 + coefficient
+        weights = w * np.exp(-s - series * inverse) / np.sqrt(1.0 + u)
+        weights.flags.writeable = False
+        return z, weights
+
+
+def make_coherent(n_mean: float, phase: float = math.pi / 2,
+                  tail_tol: float = DEFAULT_TAIL_TOL) -> CoherentField:
+    """The coherent state with mean photon number ``n_mean``; builds no window.
 
     Raises ValueError for a non-positive or non-finite ``n_mean``, a
-    non-finite ``phase``, a ``tail_tol`` outside (0, 1), a tail tolerance
-    unattainable within the cap, or a window wider than MAX_LEVELS.
+    non-finite ``phase``, a ``tail_tol`` outside (0, 1), or an N whose
+    smallest window, N +- 8 sqrt(N), is wider than MAX_LEVELS
+    (``coherent_window``).  Growing the window to ``tail_tol`` happens, and
+    can raise, only when the window is read (``CoherentField.window``).
     """
     if not 0 < n_mean < math.inf:
         raise ValueError(
@@ -168,36 +331,9 @@ def make_coherent(n_mean: float, phase: float = math.pi / 2,
         raise ValueError(f"coherent phase must be finite, got {phase}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-
-    cap = _n_max_cap(n_mean)
-    width = _INITIAL_HALF_WIDTH
-    while True:
-        lo, hi = coherent_window(n_mean, width)
-        ns = np.arange(lo, hi + 1, dtype=float)
-        log_pmf = _poisson_log_pmf(ns, n_mean)
-        tail_lo, tail_hi = _tail_bounds(lo, hi, n_mean, log_pmf)
-        tail = tail_lo + tail_hi
-        if tail <= tail_tol:
-            break
-        if (lo == 0 or tail_lo <= tail_tol / 2) and hi >= cap:
-            raise ValueError(
-                f"tail_tol={tail_tol} unattainable within n_max cap {cap} "
-                f"(residual tail bound {tail:.3e})")
-        width *= _WIDTH_GROWTH
-
-    retained = float(np.exp(log_pmf).sum())
-    shift = 0.5 * (math.log1p(-tail) - math.log(retained))
-    log_magnitude = 0.5 * log_pmf + shift
-    log_magnitude.flags.writeable = False  # FieldState keeps it without a copy
-
-    return FieldState(
-        n_offset=int(lo),
-        log_magnitude=log_magnitude,
-        mean_photon_number=float(n_mean),
-        coherent_phase=float(phase) % TWO_PI,
-        tail_mass=tail,
-        kind="coherent",
-    )
+    coherent_window(n_mean)
+    return CoherentField(mean_photon_number=float(n_mean),
+                         coherent_phase=float(phase) % TWO_PI, tail_tol=float(tail_tol))
 
 
 def make_number_state(m: int) -> FieldState:
@@ -217,7 +353,7 @@ def make_number_state(m: int) -> FieldState:
     )
 
 
-def central_moments_direct(field: FieldState, k_max: int) -> np.ndarray:
+def central_moments_direct(field: FieldState | CoherentField, k_max: int) -> np.ndarray:
     """Moments mu_k = sum_n |C_n|^2 ((n-N)/N)^k over the retained window, k = 0..k_max.
 
     Raises ValueError if some mu_k is not a finite float (at tiny N).

@@ -19,12 +19,21 @@ factors as M_n = e^{i n phi} D R_n D^dag with a real R_n (see KrausSet),
 built as four contiguous columns over n from one cos and one sin pass over
 k sqrt(m).
 
-There is one evaluation path, ``KrausSet.grams``.  It walks the Kraus index
-in pieces of CHUNK_LEVELS levels, keeps one piece's rows at a time (so its
-memory beyond the field is O(CHUNK_LEVELS)), and reduces each group of
-amplitude columns w^T M_n v to their Gram matrix sum_n a_i conj(a_j).  An
-error is a diagonal entry, the weight sum_n |w^T M_n v|^2, projected term by
-term as a sum of squares, so an O(1/N) error is never the difference of
+There is one evaluation path, ``KrausSet.grams``.  It reduces each group of
+amplitude columns w^T M_n v to their Gram matrix sum_n a_i conj(a_j) by
+one of two rules for the sum over n, chosen by ``build_kraus``:
+
+- the integer levels of the field's window, walked in pieces of
+  CHUNK_LEVELS levels, one piece's rows at a time (so the memory beyond the
+  field is O(CHUNK_LEVELS));
+- for a coherent field with N >= QUAD_MIN_N and a pulse with
+  |kappa| <= QUAD_MAX_KAPPA, the field's Gauss-Hermite rule (see
+  fock_field): NODES nodes x_j, at which |C_x| is factored out of R_x and
+  the rest is written as R(vartheta) plus differences in closed form, each
+  O(1/sqrt(N)) and as precise as that.
+
+An error is a diagonal entry, the weight sum_n |w^T M_n v|^2, projected term
+by term as a sum of squares, so an O(1/N) error is never the difference of
 O(1) sums: each piece's sum is pairwise and the pieces' sums are combined by
 ``math.fsum``.  Every state update is one ``frame_step`` through such a Gram;
 the channel's, like the completeness residual, reads ``KrausSet.unit_gram``,
@@ -41,10 +50,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock_field import DEFAULT_TAIL_TOL, TWO_PI, FieldState, check_photon_number, make_coherent
+from .fock_field import (DEFAULT_TAIL_TOL, TWO_PI, CoherentField, FieldState,
+                         check_photon_number, make_coherent)
 
 #: Levels per piece of the Kraus index walked by ``KrausSet.grams``.
 CHUNK_LEVELS = 2 ** 14
+
+#: Largest |kappa| whose pulse is summed by a field's Gauss-Hermite rule.  In
+#: z = (x - N) / sqrt(N) the rows vary like cos(kappa z / 2); with NODES = 24
+#: the rule holds to about 1e-14 relative up to kappa = 3 and fails from
+#: kappa = 5 on (about 1e-6 relative at N = 1e3).
+QUAD_MAX_KAPPA = 2.0
 
 
 @dataclass(frozen=True)
@@ -94,14 +110,16 @@ class PulseSpec:
         check_photon_number(n_mean)
         return cls(kappa=float(vartheta) / math.sqrt(n_mean), vartheta=float(vartheta))
 
-    def kappa_for(self, field: FieldState) -> float:
+    def kappa_for(self, field: FieldState | CoherentField) -> float:
         """``kappa`` whatever the field; perfbench's tracer reads the pulse through it."""
         return self.kappa
 
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators M_n of one pulse against ``field``, n = n_start .. n_start + count - 1.
+    """Kraus operators M_n of one pulse against ``field``, summed over n by one rule:
+    the integer levels in ``levels``, or, where ``levels`` is None, the
+    field's Gauss-Hermite rule (``field.quadrature``).
 
     For coherent phase phi, M_n = e^{i n phi} D R_n D^dag exactly, with
     D = diag(e^{i(phi - pi/2)}, 1) and the real matrix
@@ -109,20 +127,20 @@ class KrausSet:
         R_n = [[ |C_n| cos(k sqrt(n+1)),     |C_{n+1}| sin(k sqrt(n+1)) ],
                [ -|C_{n-1}| sin(k sqrt(n)),  |C_n| cos(k sqrt(n)) ]].
 
-    The set stores no R_n: ``grams`` builds them piece by piece each time it
-    walks the index.  ``unit_gram``, the Gram of the four entries of R_n
-    that the channel steps with, is built on first access.  No complex M_n
-    is built; ``to_json_rows`` writes their entries from the R_n.  Immutable
-    after construction; safe to share across threads.
+    The set stores no R_n: ``grams`` builds them each time it walks the
+    rule.  ``unit_gram``, the Gram of the four entries of R_n that the
+    channel steps with, is built on first access.  No complex M_n is built;
+    ``to_json_rows`` writes their entries from the R_n of the levels.
+    ``len`` counts the rule's points, levels or nodes.  Immutable after
+    construction; safe to share across threads.
     """
 
-    field: FieldState
+    field: FieldState | CoherentField
     pulse: PulseSpec
-    n_start: int
-    count: int
+    levels: range | None
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.field.quadrature[0]) if self.levels is None else len(self.levels)
 
     def frame(self) -> np.ndarray:
         """Diagonal of D = diag(e^{i(phi - pi/2)}, 1) for the field's coherent phase phi."""
@@ -138,19 +156,32 @@ class KrausSet:
 
         A group is a sequence of 2x2 couplings c_i, and a_i(n) = sum_jk
         R_n[j, k] c_i[j, k]; with c_i = ``coupling(w, v)``, |a_i(n)|^2 =
-        |w^T M_n v|^2.  The index is walked in pieces of CHUNK_LEVELS levels
-        from n_start; each piece builds its rows once and then, one group at
-        a time, that group's columns (by einsum, which keeps the O(K)
-        products out of BLAS, whose threads would wake for them).  Each
-        product of two columns' real or imaginary parts is summed pairwise
-        within a piece and the pieces' sums are combined by ``math.fsum``, so
-        an O(1/N) entry is never the difference of O(1) sums.  A group of
-        real couplings has real columns and a real Gram.
+        |w^T M_n v|^2.  A rule gives weights W_j, a base matrix B and rows
+        Delta_j per point: a column is sum_jk (B + Delta_j)[j, k] c_i[j, k]
+        and a Gram entry sum_j W_j a_i a_k^*.
 
-        The pieces start at multiples of CHUNK_LEVELS from n_start, so every
-        column equals, float for float, one einsum over the whole index:
-        einsum rounds an entry differently in its vector body and in its
-        scalar tail, and such pieces keep every level in one lane position.
+        - The levels: W = 1, B = 0 and Delta_n = R_n, walked in pieces of
+          CHUNK_LEVELS levels from levels.start.  Each piece builds its rows
+          once and then, one group at a time, that group's columns (by
+          einsum, which keeps the O(K) products out of BLAS, whose threads
+          would wake for them).
+        - The Gauss-Hermite rule: one piece of NODES nodes x_j with the
+          field's weights W_j, B = R(vartheta) and Delta_j = R~(x_j) - B,
+          where R~(x) = R_x / |C_x| and vartheta = kappa sqrt(N)
+          (``_quadrature_rows``).  Each Delta_j and each B c_i is summed on
+          its own, so a column keeps the relative precision of its small
+          part.
+
+        Each product of two columns' real or imaginary parts is summed
+        pairwise within a piece and the pieces' sums are combined by
+        ``math.fsum``, so an O(1/N) entry is never the difference of O(1)
+        sums.  A group of real couplings has real columns and a real Gram.
+
+        The level pieces start at multiples of CHUNK_LEVELS from
+        levels.start, so every column equals, float for float, one einsum
+        over the whole index: einsum rounds an entry differently in its
+        vector body and in its scalar tail, and such pieces keep every
+        level in one lane position.
         """
         # Each group's size m and real couplings: those of its columns' real
         # parts x_0 and, where any coupling is complex, of their imaginary parts x_1.
@@ -158,25 +189,33 @@ class KrausSet:
         for group in groups:
             c = np.asarray(group, dtype=complex).reshape(-1, 2, 2)
             parts.append((len(c), np.concatenate((c.real, c.imag)) if c.imag.any() else c.real))
-        end = self.n_start + self.count
-        firsts = range(self.n_start, end, CHUNK_LEVELS)
-        # sums[g][k, a, b]: piece k's sum of column a times column b (a <= b) of group g.
-        sums = [np.zeros((len(firsts), len(couplings), len(couplings))) for _, couplings in parts]
-        # One buffer serves every piece: its rows, then the scratch of their build
-        # or one group's columns and a product.  A pass thus allocates nothing of
-        # O(CHUNK_LEVELS) per piece, and its working set, one block, does not
-        # depend on the allocator's history (glibc trims a heap whose free top
-        # exceeds twice the largest block it has freed).
         width = max((len(couplings) for _, couplings in parts), default=0)
-        length = min(CHUNK_LEVELS, self.count)
-        work = np.empty(4 * length + max(3 * length + 4, (width + 1) * length))
-        for k, first in enumerate(firsts):
-            count = min(CHUNK_LEVELS, end - first)
-            rows = _real_rows(self.field, self.pulse.kappa, first, count, work)
+        # sums[g]: each piece's sums of column a times column b (a <= b) of group g.
+        sums = [[] for _ in parts]
+        if self.levels is None:
+            nodes, weights = self.field.quadrature
+            base, rows = _quadrature_rows(self.field.mean_photon_number, self.pulse.kappa, nodes)
+            work = np.empty((width + 1) * len(nodes))
             for (_, couplings), acc in zip(parts, sums):
-                _add_piece_sums(rows, couplings, acc[k], work[4 * count:])
+                offsets = np.einsum("kij,ij->k", couplings, base)
+                acc.append(_piece_sums(rows, couplings, offsets, weights, work))
+        else:
+            # One buffer serves every piece: its rows, then the scratch of their
+            # build or one group's columns and a product.  A pass thus allocates
+            # nothing of O(CHUNK_LEVELS) per piece, and its working set, one
+            # block, does not depend on the allocator's history (glibc trims a
+            # heap whose free top exceeds twice the largest block it has freed).
+            start, end = self.levels.start, self.levels.stop
+            length = min(CHUNK_LEVELS, end - start)
+            work = np.empty(4 * length + max(3 * length + 4, (width + 1) * length))
+            for first in range(start, end, CHUNK_LEVELS):
+                count = min(CHUNK_LEVELS, end - first)
+                rows = _real_rows(self.field, self.pulse.kappa, first, count, work)
+                for (_, couplings), acc in zip(parts, sums):
+                    acc.append(_piece_sums(rows, couplings, None, None, work[4 * count:]))
         out = []
-        for (m, couplings), acc in zip(parts, sums):
+        for (m, couplings), pieces in zip(parts, sums):
+            acc = np.array(pieces).reshape(-1, len(couplings), len(couplings))
             gram = np.empty((m, m), dtype=float if len(couplings) == m else complex)
             for i in range(m):
                 for j in range(i, m):
@@ -214,11 +253,14 @@ class KrausSet:
         Each entry of R_n is multiplied by the phase of its own coefficient:
         e^{i n phi} on M00 and M11, -i e^{i(n+1) phi} on M01 and
         +i e^{i(n-1) phi} on M10 (R_n[1, 0] carries the minus sign), each
-        angle m*phi reduced mod 2 pi.
+        angle m*phi reduced mod 2 pi.  Raises ValueError for a set summed by
+        quadrature, which has no levels; build the set of ``field.window``.
         """
-        rows = _real_rows(self.field, self.pulse.kappa, self.n_start, self.count,
-                          np.empty(7 * self.count + 4))
-        n = np.arange(self.n_start, self.n_start + self.count)
+        if self.levels is None:
+            raise ValueError("a Kraus set summed by quadrature has no per-level rows")
+        start, count = self.levels.start, len(self.levels)
+        rows = _real_rows(self.field, self.pulse.kappa, start, count, np.empty(7 * count + 4))
+        n = np.arange(start, start + count)
 
         def phase(m):
             return np.exp(1j * np.mod(m * self.field.coherent_phase, TWO_PI))
@@ -228,25 +270,76 @@ class KrausSet:
         entries = np.stack((rows[0, 0] * here, rows[0, 1] * (-1j * phase(n + 1)),
                             rows[1, 0] * (1j * phase(n - 1)), rows[1, 1] * here), axis=1) + 0.0
         return [{"n": m, "M": op} for m, op in
-                zip(n.tolist(), entries.view(float).reshape(self.count, 4, 2).tolist())]
+                zip(n.tolist(), entries.view(float).reshape(count, 4, 2).tolist())]
 
 
-def _add_piece_sums(rows: np.ndarray, couplings: np.ndarray, acc: np.ndarray,
-                    work: np.ndarray) -> None:
-    """Write one piece's sums of the products of real columns a and b (a <= b),
-    those of ``couplings``, into ``acc[a, b]``.  The columns and each product
-    are written into ``work``; each product is summed pairwise."""
+def _piece_sums(rows: np.ndarray, couplings: np.ndarray, offsets: np.ndarray | None,
+                weights: np.ndarray | None, work: np.ndarray) -> np.ndarray:
+    """One piece's sums acc[a, b] of the products of real columns a and b (a <= b).
+
+    Column a is sum_jk rows[j, k] c[j, k] for the a-th of ``couplings``, plus
+    ``offsets[a]`` (its sum_jk B[j, k] c[j, k]; None for B = 0), and each
+    product is weighted by ``weights`` (None for 1).  The columns and each
+    product are written into ``work``; each product is summed pairwise.
+    """
     count = rows.shape[-1]
     cols = work[:len(couplings) * count].reshape(len(couplings), count)
     product = work[cols.size:cols.size + count]
     for col, c in zip(cols, couplings):
         np.einsum("ijn,ij->n", rows, c, out=col)
+    if offsets is not None:
+        cols += offsets[:, None]
+    acc = np.zeros((len(cols), len(cols)))
     for a in range(len(cols)):
         for b in range(a, len(cols)):
-            acc[a, b] = np.multiply(cols[a], cols[b], out=product).sum()
+            np.multiply(cols[a], cols[b], out=product)
+            if weights is not None:
+                product *= weights
+            acc[a, b] = product.sum()
+    return acc
 
 
-def _real_rows(field: FieldState, kappa: float, start: int, count: int,
+def _quadrature_rows(n_mean: float, kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B = R(vartheta), vartheta = kappa sqrt(N), and the rows Delta_j = R~(x_j) - B
+    (shape (2, 2, len(z))) at the nodes x_j = N + sqrt(N) z_j.
+
+    R~(x) = R_x / |C_x| holds the ratios |C_{x+1}| / |C_x| = sqrt(N / (x+1))
+    and |C_{x-1}| / |C_x| = sqrt(x / N), so
+
+        R~(x) = [[ cos a_+,                  sqrt(N/(x+1)) sin a_+ ],
+                 [ -sqrt(x/N) sin a_0,       cos a_0 ]],
+
+    a_+ = kappa sqrt(x + 1), a_0 = kappa sqrt(x).  Every entry of Delta is
+    O(1/sqrt(N)) and is written in closed difference form, never as the
+    difference of O(1) numbers:
+
+        cos a - cos vartheta = -2 sin(vartheta + d/2) sin(d/2),
+        r sin a - sin vartheta = 2 r cos(vartheta + d/2) sin(d/2) + (r - 1) sin vartheta,
+
+    with d = a - vartheta, d_+ = kappa (sqrt(N) z + 1) / (sqrt(x+1) + sqrt(N)),
+    d_0 = kappa sqrt(N) z / (sqrt(x) + sqrt(N)), and the ratios' differences
+    sqrt(N/(x+1)) - 1 = -(sqrt(N) z + 1) / (sqrt(x+1) (sqrt(x+1) + sqrt(N)))
+    and sqrt(x/N) - 1 = z / (sqrt(x) + sqrt(N)).
+    """
+    root_n = math.sqrt(n_mean)
+    vartheta = kappa * root_n
+    shift = root_n * z  # x - N
+    root_up, root = np.sqrt(n_mean + 1.0 + shift), np.sqrt(n_mean + shift)
+    half_up = 0.5 * kappa * (shift + 1.0) / (root_up + root_n)
+    half = 0.5 * kappa * shift / (root + root_n)
+    ratio_up = -(shift + 1.0) / (root_up * (root_up + root_n))
+    ratio = z / (root + root_n)
+    sin_theta = math.sin(vartheta)
+    sin_up, sin_here = np.sin(half_up), np.sin(half)
+    rows = np.empty((2, 2, len(z)))
+    rows[0, 0] = -2.0 * np.sin(vartheta + half_up) * sin_up
+    rows[0, 1] = 2.0 * (1.0 + ratio_up) * np.cos(vartheta + half_up) * sin_up + ratio_up * sin_theta
+    rows[1, 0] = -(2.0 * (1.0 + ratio) * np.cos(vartheta + half) * sin_here + ratio * sin_theta)
+    rows[1, 1] = -2.0 * np.sin(vartheta + half) * sin_here
+    return bloch_rotation(vartheta), rows
+
+
+def _real_rows(field: FieldState | CoherentField, kappa: float, start: int, count: int,
                work: np.ndarray) -> np.ndarray:
     """Phase-free rows R_n (shape (2, 2, count)) for n = start .. start + count - 1,
     from the exp of just their own log-magnitudes.
@@ -278,20 +371,28 @@ def _real_rows(field: FieldState, kappa: float, start: int, count: int,
     return rows
 
 
-def build_kraus(field: FieldState, pulse: PulseSpec) -> KrausSet:
+def build_kraus(field: FieldState | CoherentField, pulse: PulseSpec) -> KrausSet:
     """The Kraus set of one pulse against ``field``; it stores no rows (see KrausSet).
 
-    The index range is [max(0, window_lo - 1), window_hi + 1]: the two
-    extra operators carry the couplings C_{lo} and C_{hi} into the levels
-    just outside the window and are exactly what trace preservation needs
-    for number states.  Raises ValueError if the largest trig argument,
-    kappa sqrt(n_max + 2), is not a finite float.
+    A field with a quadrature rule (a coherent field with N >= QUAD_MIN_N)
+    is summed by that rule when |kappa| <= QUAD_MAX_KAPPA; its window is not
+    built.  Any other field is summed over the levels
+    [max(0, window_lo - 1), window_hi + 1]: the two extra operators carry the
+    couplings C_{lo} and C_{hi} into the levels just outside the window and
+    are exactly what trace preservation needs for number states.  Raises
+    ValueError if the largest trig argument, kappa sqrt(n) at the top level
+    plus one or at the top node plus one, is not a finite float.
     """
-    if not math.isfinite(pulse.kappa * math.sqrt(field.n_max + 2)):
-        raise ValueError(f"kappa*sqrt(n) must be finite up to n={field.n_max + 2}, "
+    if field.quadrature is not None and abs(pulse.kappa) <= QUAD_MAX_KAPPA:
+        n_mean = field.mean_photon_number
+        top, levels = n_mean + math.sqrt(n_mean) * float(field.quadrature[0][-1]) + 1.0, None
+    else:
+        start = max(0, field.n_offset - 1)
+        top, levels = field.n_max + 2, range(start, field.n_max + 2)
+    if not math.isfinite(pulse.kappa * math.sqrt(top)):
+        raise ValueError(f"kappa*sqrt(n) must be finite up to n={top}, "
                          f"got kappa={pulse.kappa}")
-    start = max(0, field.n_offset - 1)
-    return KrausSet(field=field, pulse=pulse, n_start=start, count=field.n_max + 2 - start)
+    return KrausSet(field=field, pulse=pulse, levels=levels)
 
 
 def frame_step(sigma: np.ndarray, gram: np.ndarray) -> np.ndarray:

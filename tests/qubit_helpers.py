@@ -41,7 +41,7 @@ def complex_operators(kraus: KrausSet) -> np.ndarray:
     """The complex M_n of shape (K, 2, 2) over the whole index, each entry built
     from the complex amplitudes by the pattern in the jc_channel docstring: an
     independent reference for the library's phase-free rows."""
-    n = np.arange(kraus.n_start, kraus.n_start + len(kraus))
+    n = np.array(kraus.levels)
     angle_up, angle = kraus.pulse.kappa * np.sqrt(n + 1.0), kraus.pulse.kappa * np.sqrt(n)
     here = amplitude(kraus.field, n)
     ops = np.empty((len(n), 2, 2), dtype=complex)
@@ -60,15 +60,15 @@ def dumped_operators(kraus: KrausSet) -> np.ndarray:
 
 def operator(kraus: KrausSet, n: int) -> np.ndarray:
     """M_n as ``kraus.to_json_rows()`` writes it; zero matrix outside the built index range."""
-    if n < kraus.n_start or n >= kraus.n_start + len(kraus):
+    if n not in kraus.levels:
         return np.zeros((2, 2), dtype=complex)
-    return dumped_operators(kraus)[n - kraus.n_start]
+    return dumped_operators(kraus)[n - kraus.levels.start]
 
 
 def whole_rows(kraus: KrausSet) -> np.ndarray:
     """The phase-free rows R_n of the whole index, shape (2, 2, K), in one piece."""
     work = np.empty(7 * len(kraus) + 4)
-    return _real_rows(kraus.field, kraus.pulse.kappa, kraus.n_start, len(kraus), work)
+    return _real_rows(kraus.field, kraus.pulse.kappa, kraus.levels.start, len(kraus), work)
 
 
 def sum_of_squares(amp: np.ndarray) -> float:

@@ -218,6 +218,13 @@ def test_oversized_sweep_builds_no_field(capsys, monkeypatch):
     assert calls == []
 
 
+def test_tail_tol_grows_no_window_above_the_threshold(capsys):
+    # The quadrature truncates nothing, so a tolerance whose window would
+    # grow past MAX_LEVELS at N = 1e11 is only validated.
+    code, out, _ = run_cli(capsys, "table2", "--n", "1e11", "--tail-tol", "1e-300")
+    assert code == 0 and len(parse_csv(out)) == 8
+
+
 class TestTable2:
     def test_grid_and_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--n", "10000")
@@ -424,6 +431,22 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_quadrature_needs_no_numpy_polynomial(self):
+        # The Gauss-Hermite nodes come from numpy.linalg, which numpy loads
+        # anyway; numpy 2 loads numpy.polynomial only on first use.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys, numpy\n"
+             "before = 'numpy.polynomial' in sys.modules\n"
+             "import jcpulse.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = jcpulse.cli.main(['table2', '--n', '1e4'])\n"
+             "print(code, before, 'numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        code, before, after = result.stdout.split()
+        assert code == "0" and after == before
 
     def test_unknown_command_exits_two(self):
         result = subprocess.run(

@@ -125,11 +125,23 @@ class TestOneOverNLaw:
         error, _ = nominal_report(theta0, QUARTER_PI, n_mean)
         assert abs(n_mean * (n_mean * error / coeff - 1.0)) <= 0.5
 
+    @pytest.mark.parametrize("theta0,coeff,second", [
+        pytest.param(0.0, (PI - 2) ** 2 / 64, 0.130937, id="ground"),
+        pytest.param(PI / 2, (PI + 2) ** 2 / 64, -0.180215, id="excited"),
+    ])
+    @pytest.mark.parametrize("n_mean", [10.0 ** k for k in range(3, 11)])
+    def test_second_order_coefficient_on_the_quadrature(self, theta0, coeff, second, n_mean):
+        # From N = QUAD_MIN_N = 1e3 on the Gauss-Hermite rule truncates
+        # nothing, so N * (N * P / c1 - 1) is the second-order coefficient
+        # plus O(1/N); at N = 1e10 a relative error of 1e-13 in P would move it by 1e-3.
+        error, _ = nominal_report(theta0, QUARTER_PI, n_mean)
+        assert n_mean * (n_mean * error / coeff - 1.0) == pytest.approx(second, rel=0, abs=1e-3)
+
 
 class TestClosedFormSums:
     @pytest.mark.parametrize("n_mean", [10.0, 100.0, 1e3])
     def test_agree_with_channel_path(self, n_mean):
-        field = make_coherent(n_mean)
+        field = make_coherent(n_mean).window  # both sides sum its levels
         pulse = PulseSpec.from_vartheta(QUARTER_PI, n_mean)
         assert p_plus(field, pulse) == pytest.approx(
             error_rate_exact(ControlSpec(PI / 2, QUARTER_PI), field, pulse), abs=1e-12)
@@ -300,7 +312,7 @@ class TestPiPulse:
     @pytest.mark.parametrize("theta0", [0.0, QUARTER_PI, PI / 2, 3 * PI / 4])
     @pytest.mark.parametrize("n_mean", [10.0, 100.0, 1e3])
     def test_specialized_sums_match_channel(self, theta0, n_mean):
-        field = make_coherent(n_mean)
+        field = make_coherent(n_mean).window  # both sides sum its levels
         pulse = PulseSpec.from_vartheta(PI / 2, n_mean)
         assert pi_pulse_error(theta0, field, pulse) == pytest.approx(
             error_rate_exact(ControlSpec(theta0, PI / 2), field, pulse), abs=1e-12)
@@ -424,10 +436,20 @@ class TestErrorReport:
         assert delta >= 0.0
         assert ozawa_bound(1e3) == 1.0 / (16 * (1e3 + 1))
 
+    @pytest.mark.parametrize("n_mean", [-1.0, -2.0, math.nan])
+    def test_ozawa_bound_rejects_negative_and_nan(self, n_mean):
+        with pytest.raises(ValueError, match=f"N must be non-negative, got {n_mean!r}"):
+            ozawa_bound(n_mean)
+
+    def test_ozawa_bound_of_the_vacuum_is_finite(self):
+        assert ozawa_bound(0.0) == 1.0 / 16
+
 
 @functools.lru_cache(maxsize=None)
 def shared_field(n_mean, phase):
-    return make_coherent(n_mean, phase=phase)
+    """The window of a coherent field: its Kraus sets sum the levels at every N,
+    as the whole-window reference does."""
+    return make_coherent(n_mean, phase=phase).window
 
 
 BATCH_CONTROLS = tuple(ControlSpec(theta0, theta) for theta0, theta in
@@ -472,6 +494,14 @@ class TestBatchedReport:
                                   start_angle=control.theta0)
             assert len(build_kraus(field, pulse)) == levels
             assert_batch_is_exact(field, pulse)
+
+    @pytest.mark.parametrize("phase", [PI / 2, 0.13 * PI], ids=["real-c", "complex-c"])
+    @pytest.mark.parametrize("n_mean", [1e3, 1e8])
+    def test_equals_its_controls_one_at_a_time_on_the_quadrature(self, n_mean, phase):
+        kraus = build_kraus(make_coherent(n_mean, phase=phase), resolve_pulse("bias-free", n_mean))
+        assert kraus.levels is None
+        batched = error_report(TABLE2_CONTROLS, kraus)
+        assert batched == tuple(error_report((control,), kraus)[0] for control in TABLE2_CONTROLS)
 
     @pytest.mark.parametrize("number", [0, 5])
     def test_equals_the_stored_report_for_number_states(self, number):

@@ -13,7 +13,7 @@ from jcpulse import (
     make_coherent,
     make_number_state,
 )
-from jcpulse.fock_field import MAX_LEVELS, coherent_window
+from jcpulse.fock_field import MAX_LEVELS, NODES, QUAD_MIN_N, coherent_window, hermite_nodes
 from qubit_helpers import amplitude
 
 TWO_PI = 2.0 * math.pi
@@ -99,9 +99,11 @@ class TestCoherentConstruction:
             make_coherent(10.0, tail_tol=bad)
 
     def test_unattainable_tail_raises(self):
-        # At N=1 the hard cap n_max ~ 151 leaves pmf(151) ~ 1e-265.
+        # At N=1 the hard cap n_max ~ 151 leaves pmf(151) ~ 1e-265.  The
+        # window, and with it the error, comes when something reads it.
+        field = make_coherent(1.0, tail_tol=1e-300)
         with pytest.raises(ValueError, match="unattainable"):
-            make_coherent(1.0, tail_tol=1e-300)
+            field.window
 
     def test_oversized_window_raises_before_allocating(self):
         tracemalloc.start()
@@ -136,6 +138,44 @@ class TestCoherentConstruction:
         assert np.allclose(np.exp(1j * np.array(payload["phase"])),
                            amplitude(field, field.photon_numbers()) / field.probabilities() ** 0.5,
                            rtol=0, atol=1e-12)
+
+
+class TestQuadrature:
+    def test_nodes_match_hermegauss(self):
+        from numpy.polynomial.hermite_e import hermegauss
+        z, w = hermite_nodes()
+        z_ref, w_ref = hermegauss(NODES)
+        assert np.max(np.abs(z - z_ref)) <= 5e-15
+        assert np.max(np.abs(w / (w_ref / math.sqrt(TWO_PI)) - 1.0)) <= 2e-14
+
+    @pytest.mark.parametrize("n_mean", [QUAD_MIN_N, 1e5, 1e8, 1e12])
+    def test_weights_hold_the_poisson_moments(self, n_mean):
+        # Poisson: mean N, variance N, third central moment N, so in
+        # z = (n - N) / sqrt(N) the moments are 1, 0, 1 and 1/sqrt(N).
+        z, weights = make_coherent(n_mean).quadrature
+        moments = [math.fsum(weights * z ** k) for k in range(4)]
+        assert moments[0] == pytest.approx(1.0, rel=0, abs=2e-15)
+        assert moments[1] == pytest.approx(0.0, rel=0, abs=2e-15)
+        assert moments[2] == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert moments[3] == pytest.approx(1.0 / math.sqrt(n_mean), rel=1e-12, abs=1e-14)
+
+    def test_starts_at_the_threshold(self):
+        assert make_coherent(QUAD_MIN_N * (1 - 1e-12)).quadrature is None
+        assert len(make_coherent(QUAD_MIN_N).quadrature[0]) == NODES
+        assert make_number_state(5000).quadrature is None
+        assert make_coherent(1e4).window.quadrature is None
+
+    def test_builds_no_window(self):
+        # The window of N = 1e11 would hold 5e6 levels (40 MB).
+        tracemalloc.start()
+        try:
+            field = make_coherent(1e11)
+            field.quadrature
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert "window" not in vars(field)
 
 
 class TestFieldState:

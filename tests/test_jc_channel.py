@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from jcpulse import (
     make_coherent,
     make_number_state,
 )
-from jcpulse.jc_channel import CHUNK_LEVELS
+from jcpulse.fock_field import NODES, QUAD_MIN_N
+from jcpulse.jc_channel import CHUNK_LEVELS, QUAD_MAX_KAPPA
 from qubit_helpers import (amplitude, complex_operators, dumped_operators, fsum_gram,
                            fsum_sandwich, maximally_mixed, operator, sum_of_squares, validate)
 
@@ -68,7 +70,7 @@ class TestKrausStructure:
     def test_vacuum_field_operators(self):
         kappa = 0.7
         kraus = build_kraus(make_number_state(0), PulseSpec.from_kappa(kappa, 0))
-        assert (kraus.n_start, len(kraus)) == (0, 2)
+        assert kraus.levels == range(0, 2)
         assert np.allclose(operator(kraus, 0), np.diag([math.cos(kappa), 1.0]))
         expected_m1 = np.zeros((2, 2), complex)
         expected_m1[1, 0] = -1j * math.sin(kappa)
@@ -91,7 +93,7 @@ class TestKrausStructure:
         (10.0, QUARTER_PI), (100.0, QUARTER_PI), (1e4, QUARTER_PI), (1e4, math.pi / 2),
     ])
     def test_completeness(self, n_mean, vartheta):
-        field = make_coherent(n_mean, tail_tol=1e-12)
+        field = make_coherent(n_mean, tail_tol=1e-12).window  # the reference sums its levels
         kraus = build_kraus(field, PulseSpec.from_vartheta(vartheta, n_mean))
         # independent accumulation of sum M^dag M
         gram = np.zeros((2, 2), complex)
@@ -116,6 +118,51 @@ class TestKrausStructure:
             PulseSpec.from_vartheta(0.5, make_number_state(0).mean_photon_number)
         with pytest.raises(TypeError):
             PulseSpec(vartheta=0.5)
+
+
+class TestRuleChoice:
+    """build_kraus sums a coherent field from N = QUAD_MIN_N on by its
+    Gauss-Hermite rule, unless the pulse oscillates too fast in n for it."""
+
+    def test_quadrature_above_the_threshold(self):
+        kraus = build_kraus(make_coherent(QUAD_MIN_N), PulseSpec.from_vartheta(QUARTER_PI, 1e3))
+        assert kraus.levels is None and len(kraus) == NODES
+        assert kraus.completeness_residual() <= 1e-15
+        with pytest.raises(ValueError, match="no per-level rows"):
+            kraus.to_json_rows()
+
+    def test_levels_below_it_for_windows_and_for_number_states(self):
+        pulse = PulseSpec.from_vartheta(QUARTER_PI, 999.0)
+        below = make_coherent(999.0)
+        assert build_kraus(below, pulse).levels == range(below.n_offset - 1, below.n_max + 2)
+        window = make_coherent(1e4).window
+        assert len(build_kraus(window, pulse)) == window.size + 2
+        assert build_kraus(make_number_state(5000), pulse).levels == range(4999, 5002)
+
+    @pytest.mark.parametrize("vartheta", [5.0 * math.sqrt(1e3), -5.0 * math.sqrt(1e3)])
+    def test_fast_pulses_sum_the_levels(self, vartheta):
+        # At kappa = 5 the 24-node rule is off by about 1e-6 relative.
+        field, pulse = make_coherent(1e3), PulseSpec.from_vartheta(vartheta, 1e3)
+        assert abs(pulse.kappa) > QUAD_MAX_KAPPA
+        kraus = build_kraus(field, pulse)
+        assert kraus.levels is not None
+        controls = (ControlSpec(0.0, QUARTER_PI), ControlSpec(0.3, 0.7))
+        assert error_report(controls, kraus) == error_report(
+            controls, build_kraus(field.window, pulse))
+
+    def test_an_evaluation_builds_no_window(self):
+        # The window of N = 1e10 holds 1.6e6 levels (13 MB).
+        tracemalloc.start()
+        try:
+            field = make_coherent(1e10)
+            kraus = build_kraus(field, PulseSpec.from_vartheta(QUARTER_PI, 1e10))
+            error_report((ControlSpec(0.0, QUARTER_PI),), kraus)
+            apply_channel(QubitState.ground(), kraus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert "window" not in vars(field)
 
 
 class TestChannelFixtures:
@@ -248,7 +295,8 @@ def operator_sandwich(kraus, rho):
 
 
 fields = st.one_of(
-    st.builds(lambda n_mean, phase: make_coherent(n_mean, phase=phase),
+    # Windows: the references build every level's operator.
+    st.builds(lambda n_mean, phase: make_coherent(n_mean, phase=phase).window,
               st.floats(1.0, 1e4), st.floats(0.0, 2 * math.pi, exclude_max=True)),
     st.builds(make_number_state, st.integers(0, 40)),
 )
@@ -311,8 +359,7 @@ class TestDumpAgainstComplexBuild:
         kappa = vartheta / math.sqrt(max(field.mean_photon_number, 1.0))
         kraus = build_kraus(field, PulseSpec.from_kappa(kappa, field.mean_photon_number))
         reference = complex_operators(kraus)
-        assert [row["n"] for row in kraus.to_json_rows()] == \
-            list(range(kraus.n_start, kraus.n_start + len(kraus)))
+        assert [row["n"] for row in kraus.to_json_rows()] == list(kraus.levels)
         # 1e-322, twenty subnormal ulps, covers entries that a subnormal kappa makes subnormal.
         deviation = np.abs(dumped_operators(kraus) - reference)
         assert np.all(deviation <= 2e-15 * np.abs(reference) + 1e-322)

@@ -31,7 +31,7 @@ def fsum_second_step_error(start, n_mean):
     sum_ij sigma_ij G_ij with G = fsum_gram(g), g_ni = perp^T M'_n b_i.
     Every sum has terms of its own size, so the reference keeps about
     twelve digits at N = 1e8 (a lab-basis state would lose about seven)."""
-    field = make_coherent(n_mean)
+    field = make_coherent(n_mean).window
     first, second = (phase_free_operators(build_kraus(
         field, resolve_pulse("bias-free", n_mean, base=QUARTER_PI, start_angle=angle)))
         for angle in (start, start + QUARTER_PI))
@@ -79,8 +79,10 @@ class TestTwoStepAccumulation:
                              ids=["ground", "plus", "excited", "threequarter"])
     def test_second_step_error_matches_fsum_reference(self, start, n_mean):
         # The second step weighs the state after the first, whose small
-        # eigenvalue is O(1/N); the bound is 100x the worst case seen.
-        report = two_step(start, n_mean)
+        # eigenvalue is O(1/N); the bound is 100x the worst case seen.  Both
+        # sides sum the levels of the window (test_reference gates the quadrature).
+        report = run_sequence(start, [QUARTER_PI] * 2, make_coherent(n_mean).window,
+                              mode="bias-free")
         assert report.per_step_error[1] == pytest.approx(
             fsum_second_step_error(start, n_mean), rel=1e-12, abs=0.0)
 
